@@ -28,13 +28,6 @@ from .states import DensityMatrix, make_density, werner, werner_gen
 
 SEED = 20260817
 
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
@@ -55,7 +48,8 @@ def _rng(offset: int = 0) -> np.random.Generator:
 def _random_involution(rng: np.random.Generator) -> np.ndarray:
     n = rng.normal(size=3)
     n = n / np.linalg.norm(n)
-    return n[0] * _PAULI["x"] + n[1] * _PAULI["y"] + n[2] * _PAULI["z"]
+    x, y, z = (measurement.pauli(a).matrix for a in "xyz")
+    return n[0] * x + n[1] * y + n[2] * z
 
 
 def _random_density(rng: np.random.Generator, d1: int, d2: int) -> DensityMatrix:
@@ -154,7 +148,6 @@ def criterion_3() -> CriterionResult:
     worst_fit = 0.0
     for d, c in pairs:
         rho = werner_gen(d, c)
-        t = _rank2_block(d)  # reused as rank-(d-1) below
         t = np.zeros((d, d), dtype=complex)
         for i in range(d - 1):
             t[i, i] = 1.0
@@ -277,8 +270,9 @@ def criterion_7() -> CriterionResult:
     """Entangled d=2 states pass a full local-causal sequence check."""
     t0 = time.time()
     rng = _rng(7)
+    z, x = (measurement.pauli(a).matrix for a in "zx")
     base = [
-        ([_PAULI["z"], _PAULI["x"]], [_PAULI["z"], _PAULI["x"]]),
+        ([z, x], [z, x]),
         ([_random_involution(rng) for _ in range(2)],
          [_random_involution(rng) for _ in range(2)]),
         ([_random_involution(rng) for _ in range(2)],
@@ -412,8 +406,8 @@ def criterion_9() -> CriterionResult:
                 for kern in ext.kernels[atom][side].values():
                     worst_norm = max(worst_norm, abs(sum(kern.values()) - 1.0))
     # a non-commuting pair is rejected with NotCommuting
-    e1 = (np.eye(2, dtype=complex) + _PAULI["x"]) / 4.0
-    e2 = (np.eye(2, dtype=complex) + _PAULI["z"]) / 4.0
+    e1 = (np.eye(2, dtype=complex) + measurement.pauli("x").matrix) / 4.0
+    e2 = (np.eye(2, dtype=complex) + measurement.pauli("z").matrix) / 4.0
     bad = measurement.Povm(
         ("a", "b", "c"), (e1, e2, np.eye(2, dtype=complex) - e1 - e2)
     )

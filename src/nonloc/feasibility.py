@@ -176,19 +176,6 @@ def result_to_json(res: FeasibilityResult) -> dict:
     return out
 
 
-def _collected_upto(ctx: Context, k1: int, k2: int):
-    side1_seqs = [()]
-    for n in range(1, k1 + 1):
-        side1_seqs.extend(itertools.product(ctx.names(1), repeat=n))
-    side2_seqs = [()]
-    for n in range(1, k2 + 1):
-        side2_seqs.extend(itertools.product(ctx.names(2), repeat=n))
-    for c1 in side1_seqs:
-        for c2 in side2_seqs:
-            if c1 or c2:
-                yield c1, c2
-
-
 def lchv_feasibility(
     rho: DensityMatrix,
     ctx: Context,
@@ -224,7 +211,7 @@ def lchv_feasibility(
     rows = []
     targets = []
     row_labels = []
-    for c1, c2 in _collected_upto(lp_ctx, k1, k2):
+    for c1, c2 in lp_ctx.collected_sequences():
         path = [(1, n) for n in c1] + [(2, n) for n in c2]
         seq = measurement.local_sequence(
             rho.dims, [(s, ctx.family(s, n)) for s, n in path]

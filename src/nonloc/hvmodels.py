@@ -24,11 +24,21 @@ Constructions provided here:
   ``stochastic_to_deterministic`` between the two model kinds.
 * ``extend_commuting_povm``: turns a single-time local model over basis
   observables into a stochastic model of a pair of commuting POVMs.
+
+``verify_model`` replays every sequence distribution of a model against the
+quantum one with one array engine.  ``QuantumTables`` builds each side's
+effects along a prefix trie of its choice sequences and gets every table
+from one contraction with the state.  On the model side, one pass over
+(atom, choice sequence) gives outcome-string indices (deterministic models)
+or chain-rule probability matrices (stochastic models), from which each
+table is a weighted count or a matrix product.  The public
+``distribution_*`` methods are thin wrappers over the same arrays.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -36,7 +46,7 @@ import numpy as np
 
 from . import hilbert, measurement
 from .hilbert import DimPair
-from .measurement import OperationFamily, embed_local, local_sequence
+from .measurement import OperationFamily, embed_local
 from .states import PROB_FLOOR, DensityMatrix, make_density
 
 ATOM_BUDGET = 10**6
@@ -108,6 +118,22 @@ class Context:
     def names(self, side: int) -> tuple[str, ...]:
         return tuple(f.name for f in self.families(side))
 
+    def labels(self, side: int) -> dict[str, tuple[str, ...]]:
+        """Outcome labels of each side-``side`` family, by family name."""
+        return {f.name: f.labels for f in self.families(side)}
+
+    def choice_sequences(self, side: int) -> list[tuple[str, ...]]:
+        """Own-side choice sequences within the cap, starting with ``()``.
+
+        Length-major and lexicographic, so every sequence comes after its
+        prefixes.
+        """
+        cap = self.max_len1 if side == 1 else self.max_len2
+        seqs: list[tuple[str, ...]] = [()]
+        for n in range(1, cap + 1):
+            seqs.extend(itertools.product(self.names(side), repeat=n))
+        return seqs
+
     def collected_sequences(self):
         """All (side-1 choices, side-2 choices) pairs within the caps.
 
@@ -115,13 +141,8 @@ class Context:
         the two sides' operators commute, this ordering convention loses no
         generality for local models.
         """
-        side1_seqs = [()]
-        for n in range(1, self.max_len1 + 1):
-            side1_seqs.extend(itertools.product(self.names(1), repeat=n))
-        side2_seqs = [()]
-        for n in range(1, self.max_len2 + 1):
-            side2_seqs.extend(itertools.product(self.names(2), repeat=n))
-        for c1 in side1_seqs:
+        side2_seqs = self.choice_sequences(2)
+        for c1 in self.choice_sequences(1):
             for c2 in side2_seqs:
                 if c1 or c2:
                     yield c1, c2
@@ -194,38 +215,67 @@ class DeterministicModel:
             raise ValueError("per-side responses require local_causal shape")
         return self.responses[atom][side][choices]
 
+    def _trees(self, side: int | None) -> list[dict]:
+        """Per-atom response trees: one side's (``local_causal``) or the
+        global ones (``side`` None, ``causal``)."""
+        if side is None:
+            return [self.responses.get(a, {}) for a in self.space.atoms]
+        return [self.responses.get(a, {}).get(side, {}) for a in self.space.atoms]
+
+    def _side_arrays(self, side: int | None, keys, labels: dict):
+        """Outcome-string index of every atom's response to each key, and the
+        first key with a missing or malformed response (None if there is
+        none); see ``_response_indices``."""
+        return _response_indices(self._trees(side), keys, labels)
+
+    def _joint_table(self, idx1, idx2, shape) -> np.ndarray:
+        flat = idx1 * shape[1] + idx2
+        return np.bincount(
+            flat, weights=self.space.weights, minlength=shape[0] * shape[1]
+        ).reshape(shape)
+
+    def _key_indices(self, side: int | None, key: tuple, labels: dict):
+        """(index of every atom's response to ``key``, ``labels`` extended by
+        the outcomes the responses use that the families do not list)."""
+        trees = self._trees(side)
+        keys = _prefixes(key)
+        labels = _with_observed(
+            labels, ((k[-1], t[k][-1]) for k in keys for t in trees if t.get(k))
+        )
+        indices, bad = _response_indices(trees, keys, labels)
+        _require_complete(bad)
+        return indices[key], labels
+
     def distribution_interleaved(
         self, path: tuple[StepKey, ...]
     ) -> dict[tuple[str, ...], float]:
-        """Outcome table for a time-ordered step sequence."""
-        out: dict[tuple[str, ...], float] = {}
+        """Outcome table for a time-ordered step sequence.
+
+        Keys are the outcome strings some atom realizes.
+        """
+        labels = _step_labels(self.context)
         if self.shape == "causal":
-            for atom, w in zip(self.space.atoms, self.space.weights):
-                key = self.responses[atom][path]
-                out[key] = out.get(key, 0.0) + float(w)
-            return out
-        idx1 = [i for i, s in enumerate(path) if s[0] == 1]
-        idx2 = [i for i, s in enumerate(path) if s[0] == 2]
-        c1 = tuple(path[i][1] for i in idx1)
-        c2 = tuple(path[i][1] for i in idx2)
-        for atom, w in zip(self.space.atoms, self.space.weights):
-            o1 = self.responses[atom][1][c1] if c1 else ()
-            o2 = self.responses[atom][2][c2] if c2 else ()
-            merged = [None] * len(path)
-            for i, o in zip(idx1, o1):
-                merged[i] = o
-            for i, o in zip(idx2, o2):
-                merged[i] = o
-            key = tuple(merged)
-            out[key] = out.get(key, 0.0) + float(w)
-        return out
+            flat, labels = self._key_indices(None, path, labels)
+        else:  # index the collected order, re-ordered to the path's below
+            flat = 0
+            for side, key in zip((1, 2), _split(path)):
+                idx, side_labels = self._key_indices(
+                    side, key, self.context.labels(side)
+                )
+                labels.update({(side, n): lab for n, lab in side_labels.items()})
+                flat = flat * _n_strings(side_labels[n] for n in key) + idx
+        size = _n_strings(labels[s] for s in path)
+        values = np.bincount(flat, self.space.weights, minlength=size)
+        hit = np.bincount(flat, minlength=size) > 0
+        if self.shape != "causal":
+            values, hit = (_interleave(t, path, labels) for t in (values, hit))
+        return _table_dict(values, hit, [labels[s] for s in path])
 
     def distribution_collected(
         self, choices1: tuple[str, ...], choices2: tuple[str, ...]
     ) -> dict[tuple[str, ...], float]:
         """Outcome table with all side-1 steps taken before side-2 steps."""
-        path = tuple((1, n) for n in choices1) + tuple((2, n) for n in choices2)
-        return self.distribution_interleaved(path)
+        return self.distribution_interleaved(_collected_path(choices1, choices2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,33 +299,167 @@ class StochasticModel:
     ) -> dict[str, float]:
         return self.kernels[atom][side][(choices, past)]
 
-    def side_distribution(
-        self, atom: str, side: int, choices: tuple[str, ...]
-    ) -> dict[tuple[str, ...], float]:
-        table: dict[tuple[str, ...], float] = {(): 1.0}
-        for k in range(1, len(choices) + 1):
-            new: dict[tuple[str, ...], float] = {}
-            for past, p in table.items():
-                if p == 0.0:
-                    continue
-                dist = self.kernel(atom, side, choices[:k], past)
-                for o, q in dist.items():
-                    new[past + (o,)] = new.get(past + (o,), 0.0) + p * q
-            table = new
-        return table
+    def _side_kernels(self, side: int) -> list[dict]:
+        return [self.kernels.get(a, {}).get(side, {}) for a in self.space.atoms]
+
+    def _side_arrays(self, side: int, keys, labels: dict):
+        """(atoms x outcome strings) chain-rule probabilities of each
+        own-side choice sequence, and the first key with a missing or
+        malformed kernel (None if there is none); see
+        ``_chain_probabilities``."""
+        probs, _, bad = _chain_probabilities(self._side_kernels(side), keys, labels)
+        return probs, bad
+
+    def _joint_table(self, probs1, probs2, shape=None) -> np.ndarray:
+        return (probs1 * self.space.weights[:, None]).T @ probs2
 
     def distribution_collected(
         self, choices1: tuple[str, ...], choices2: tuple[str, ...]
     ) -> dict[tuple[str, ...], float]:
-        out: dict[tuple[str, ...], float] = {}
-        for atom, w in zip(self.space.atoms, self.space.weights):
-            t1 = self.side_distribution(atom, 1, choices1) if choices1 else {(): 1.0}
-            t2 = self.side_distribution(atom, 2, choices2) if choices2 else {(): 1.0}
-            for o1, p1 in t1.items():
-                for o2, p2 in t2.items():
-                    key = o1 + o2
-                    out[key] = out.get(key, 0.0) + float(w) * p1 * p2
-        return out
+        """Outcome table with all side-1 steps taken before side-2 steps.
+
+        Keys are the outcome strings the chain rule reaches at some atom,
+        including those a kernel gives probability zero at the last step.
+        """
+        probs, reached, step_labels = [], [], []
+        for side, key in ((1, choices1), (2, choices2)):
+            kernels = self._side_kernels(side)
+            keys = _prefixes(key)
+            labels = _with_observed(self.context.labels(side), (
+                (choices[-1], o) for kern in kernels
+                for (choices, _), dist in kern.items() if choices in keys
+                for o in dist
+            ))
+            p, r, bad = _chain_probabilities(kernels, keys, labels)
+            _require_complete(bad)
+            probs.append(p[key])
+            reached.append(r[key].astype(float))
+            step_labels += [labels[n] for n in key]
+        return _table_dict(
+            self._joint_table(*probs).ravel(),
+            (reached[0].T @ reached[1]).ravel() > 0,
+            step_labels,
+        )
+
+
+# --- sequence tables ----------------------------------------------------------
+#
+# Tables of a sequence are arrays over its outcome strings in label-product
+# order: the string (o_1, ..., o_n) sits at the mixed-radix index of its label
+# positions, first step most significant.
+
+
+def _prefixes(key: tuple) -> list[tuple]:
+    return [key[:k] for k in range(1, len(key) + 1)]
+
+
+def _split(path: tuple[StepKey, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return (tuple(n for s, n in path if s == 1), tuple(n for s, n in path if s == 2))
+
+
+def _collected_path(c1: tuple[str, ...], c2: tuple[str, ...]) -> tuple[StepKey, ...]:
+    return tuple((1, n) for n in c1) + tuple((2, n) for n in c2)
+
+
+def _step_labels(ctx: Context) -> dict[StepKey, tuple[str, ...]]:
+    return {(s, n): lab for s in (1, 2) for n, lab in ctx.labels(s).items()}
+
+
+def _n_strings(step_labels) -> int:
+    return math.prod(len(lab) for lab in step_labels)
+
+
+def _interleave(table: np.ndarray, path: tuple[StepKey, ...], labels) -> np.ndarray:
+    """A collected table (side-1 steps first) re-ordered to the time order of
+    ``path``, flattened."""
+    pos = [i for i, s in enumerate(path) if s[0] == 1]
+    pos += [i for i, s in enumerate(path) if s[0] == 2]
+    shape = [len(labels[path[i]]) for i in pos]
+    return np.reshape(table, shape).transpose(np.argsort(pos)).ravel()
+
+
+def _table_dict(values, hit, step_labels) -> dict[tuple[str, ...], float]:
+    strings = itertools.product(*step_labels)
+    return {s: float(v) for s, v, h in zip(strings, values, hit) if h}
+
+
+def _with_observed(labels: dict, observed) -> dict:
+    """``labels`` with each family's list extended, in sorted order, by the
+    outcomes in ``observed`` ((family key, outcome) pairs) it lacks."""
+    extra: dict = {}
+    for x, o in observed:
+        if o not in labels[x]:
+            extra.setdefault(x, set()).add(o)
+    return {x: lab + tuple(sorted(extra.get(x, ()))) for x, lab in labels.items()}
+
+
+def _require_complete(bad) -> None:
+    if bad is not None:
+        raise ValueError(f"missing or prefix-inconsistent responses at {bad}")
+
+
+def _response_indices(trees: list[dict], keys, labels: dict):
+    """Index of each tree's response among every key's outcome strings.
+
+    ``keys`` are choice sequences or step paths, each after its prefixes;
+    ``labels`` maps a key's last element to its outcome labels.  A tree's
+    response to a key must extend its response to the key's parent by one
+    known label.  Returns ({key: int array over trees}, first key at which
+    some tree fails that, or None).
+    """
+    indices = {(): np.zeros(len(trees), dtype=np.intp)}
+    responses = {(): [()] * len(trees)}
+    for key in keys:
+        lab = labels[key[-1]]
+        position = {o: j for j, o in enumerate(lab)}
+        outs = [tree.get(key) for tree in trees]
+        try:
+            col = [position[o[-1]] for o in outs]
+        except (KeyError, IndexError, TypeError):  # unknown label, (), None
+            return indices, key
+        if [o[:-1] for o in outs] != responses[key[:-1]]:
+            return indices, key
+        responses[key] = outs
+        indices[key] = indices[key[:-1]] * len(lab) + np.array(col, dtype=np.intp)
+    return indices, None
+
+
+def _chain_probabilities(kernels: list[dict], keys, labels: dict):
+    """Chain-rule probabilities of each own-side choice sequence's outcome
+    strings, one row per atom.
+
+    ``kernels`` holds one side's kernel dict per atom; ``keys`` are choice
+    sequences, each after its prefixes.  Only strings whose past has nonzero
+    probability are extended.  Returns (probabilities, reached, first key
+    with a missing kernel or an unknown label, or None); ``reached`` marks the
+    strings a kernel was consulted for.
+    """
+    n_atoms = len(kernels)
+    probs = {(): np.ones((n_atoms, 1))}
+    reached = {(): np.ones((n_atoms, 1), dtype=bool)}
+    strings: dict[tuple, list] = {(): [()]}
+    for key in keys:
+        lab = labels[key[-1]]
+        position = {o: j for j, o in enumerate(lab)}
+        parent = probs[key[:-1]]
+        pasts = strings[key[:-1]]
+        p_new = np.zeros((n_atoms, parent.shape[1] * len(lab)))
+        r_new = np.zeros(p_new.shape, dtype=bool)
+        rows, cols, values = [], [], []
+        nonzero = np.nonzero(parent)
+        for a, i, p in zip(*(x.tolist() for x in nonzero), parent[nonzero].tolist()):
+            dist = kernels[a].get((key, pasts[i]))
+            if dist is None or not dist.keys() <= position.keys():
+                return probs, reached, key
+            for o, q in dist.items():
+                rows.append(a)
+                cols.append(i * len(lab) + position[o])
+                values.append(p * q)
+        p_new[rows, cols] = values
+        r_new[rows, cols] = True
+        probs[key], reached[key] = p_new, r_new
+        strings[key] = [past + (o,) for past in pasts for o in lab]
+    return probs, reached, None
 
 
 def _embedded_ops(ctx: Context, dims: DimPair, key: StepKey):
@@ -690,25 +874,17 @@ def deterministic_to_stochastic(m: DeterministicModel) -> StochasticModel:
     return StochasticModel(m.space, m.context, kernels)
 
 
-def _kernel_nodes(kernels_side: dict, names, max_len: int):
-    """Choice-tree nodes in deterministic order: length-major, lexicographic."""
-    for n in range(1, max_len + 1):
-        for choices in itertools.product(names, repeat=n):
-            yield choices
-
-
-def _enumerate_realized_trees(
-    kernels_side: dict, names, max_len: int, atom_budget: int
-):
+def _enumerate_realized_trees(kernels_side: dict, seqs, atom_budget: int):
     """All positive-probability deterministic response trees of one side.
 
     Mutually exclusive branches are never instantiated together: a tree only
     assigns outcomes along its own realized pasts, and its weight is the
     product of the kernel probabilities actually consumed.  Summing the
-    weights over all trees telescopes to 1.
+    weights over all trees telescopes to 1.  ``seqs`` are the side's
+    non-empty choice sequences, each after its prefixes.
     """
     partial: list[tuple[dict, float]] = [({}, 1.0)]
-    for choices in _kernel_nodes(kernels_side, names, max_len):
+    for choices in seqs:
         new = []
         for tree, weight in partial:
             past = tree[choices[:-1]] if len(choices) > 1 else ()
@@ -746,12 +922,14 @@ def stochastic_to_deterministic(
     for atom, w in zip(s.space.atoms, s.space.weights):
         if float(w) == 0.0:
             continue
-        trees1 = _enumerate_realized_trees(
-            s.kernels[atom][1], ctx.names(1), ctx.max_len1, atom_budget
-        ) if ctx.max_len1 > 0 else [({}, 1.0)]
-        trees2 = _enumerate_realized_trees(
-            s.kernels[atom][2], ctx.names(2), ctx.max_len2, atom_budget
-        ) if ctx.max_len2 > 0 else [({}, 1.0)]
+        trees1, trees2 = (
+            _enumerate_realized_trees(
+                s.kernels[atom].get(side, {}),
+                ctx.choice_sequences(side)[1:],
+                atom_budget,
+            )
+            for side in (1, 2)
+        )
         if len(atoms) + len(trees1) * len(trees2) > atom_budget:
             raise BudgetExceededError(
                 f"product space exceeds atom budget {atom_budget}"
@@ -860,9 +1038,53 @@ class VerificationReport:
         )
 
 
-def _quantum_table(rho: DensityMatrix, ctx: Context, path: tuple[StepKey, ...]):
-    seq = local_sequence(rho.dims, [(s, ctx.step_family((s, n))) for s, n in path])
-    return measurement.sequence_distribution(rho, seq)
+def _effect_stacks(ctx: Context, side: int) -> dict[tuple[str, ...], np.ndarray]:
+    """Effects K^dagger K, K = R_n ... R_1, of every outcome string of every
+    own-side choice sequence, stacked in label-product order.
+
+    The choice sequences are walked as a prefix trie: each sequence's stack
+    of K extends its parent's by one step.
+    """
+    d = ctx.dims.d1 if side == 1 else ctx.dims.d2
+    kraus = {(): np.eye(d, dtype=complex)[None]}
+    for choices in ctx.choice_sequences(side)[1:]:
+        ops = np.asarray(ctx.family(side, choices[-1]).operators)
+        kraus[choices] = np.einsum(
+            "lij,pjk->plik", ops, kraus[choices[:-1]]
+        ).reshape(-1, d, d)
+    return {c: np.einsum("pji,pjk->pik", k.conj(), k) for c, k in kraus.items()}
+
+
+class QuantumTables:
+    """Outcome tables of one state over every sequence of a context.
+
+    A collected table (side-1 steps, then side-2 steps) is one contraction
+    tr(rho E1 (x) E2) over a side-1 and a side-2 stack of effects (see
+    ``_effect_stacks``), as an (n1 x n2) array.  Side-1 and side-2 operations
+    commute, so an interleaved path's table is the collected table of its
+    per-side choices with the outcomes re-ordered to the path's time order.
+    Outcome strings are in label-product order, as ``sequence_distribution``
+    lists them.
+    """
+
+    def __init__(self, rho: DensityMatrix, ctx: Context):
+        if ctx.dims != rho.dims:
+            raise ValueError("model context dims do not match the state")
+        d1, d2 = rho.dims.d1, rho.dims.d2
+        self._rho = rho.matrix.reshape(d1, d2, d1, d2)
+        self._labels = _step_labels(ctx)
+        self._effects = {side: _effect_stacks(ctx, side) for side in (1, 2)}
+
+    def collected(
+        self, choices1: tuple[str, ...], choices2: tuple[str, ...]
+    ) -> np.ndarray:
+        return np.real(np.einsum(
+            "ijkl,aki,blj->ab",
+            self._rho, self._effects[1][choices1], self._effects[2][choices2],
+        ))
+
+    def interleaved(self, path: tuple[StepKey, ...]) -> np.ndarray:
+        return _interleave(self.collected(*_split(path)), path, self._labels)
 
 
 def verify_model(
@@ -874,49 +1096,74 @@ def verify_model(
     the context; local and stochastic models on every collected (side-1 then
     side-2) sequence, which exhausts their content since their per-side
     responses are interleaving-invariant and the two sides' operators
-    commute.
+    commute.  Every outcome of every sequence is compared.
+
+    Quantum tables come from ``QuantumTables``.  On the model side one pass
+    over (atom, key) gives, per key, each atom's outcome-string index
+    (deterministic models; the table is a weighted ``bincount``) or an
+    (atoms x outcome strings) chain-rule probability matrix (stochastic
+    models; the table is P1^T diag(w) P2).  The same pass checks that every
+    response exists and extends the response to its prefix; a model that
+    fails this fails verification with an infinite deviation, no table
+    compared, and the offending sequence as ``worst_sequence``.
     """
     ctx = m.context
-    if ctx.dims != rho.dims:
-        raise ValueError("model context dims do not match the state")
+    quantum = QuantumTables(rho, ctx)
+    labels = _step_labels(ctx)
+    if m.shape == "causal":
+        paths = list(ctx.interleaved_sequences())
+        indices, bad = m._side_arrays(None, paths, labels)
+
+        def tables(path):
+            q = quantum.interleaved(path)
+            return q, np.bincount(indices[path], m.space.weights, minlength=q.size)
+    else:
+        (arrays1, bad1), (arrays2, bad2) = (
+            m._side_arrays(side, ctx.choice_sequences(side)[1:], ctx.labels(side))
+            for side in (1, 2)
+        )
+        bad = None
+        if bad1 is not None:
+            bad = _collected_path(bad1, ())
+        elif bad2 is not None:
+            bad = _collected_path((), bad2)
+        paths = [_collected_path(c1, c2) for c1, c2 in ctx.collected_sequences()]
+
+        def tables(path):
+            c1, c2 = _split(path)
+            q = quantum.collected(c1, c2)
+            return q.ravel(), m._joint_table(arrays1[c1], arrays2[c2], q.shape).ravel()
+
     worst = 0.0
     worst_seq = "(none)"
     count = 0
-    if m.shape == "causal":
-        jobs = (
-            (path, m.distribution_interleaved(path))
-            for path in ctx.interleaved_sequences()
-        )
-    else:
-        jobs = (
-            (
-                tuple((1, n) for n in c1) + tuple((2, n) for n in c2),
-                m.distribution_collected(c1, c2),
-            )
-            for c1, c2 in ctx.collected_sequences()
-        )
-    for path, model_table in jobs:
-        qtable = _quantum_table(rho, ctx, path)
+    if bad is not None:
+        worst = float("inf")
+        worst_seq = "/".join(f"{s}:{n}" for s, n in bad)
+        paths = []
+    for path in paths:
+        q, model_table = tables(path)
         count += 1
-        for outs, q in qtable.items():
-            dev = abs(model_table.get(outs, 0.0) - q)
-            if dev > worst:
-                worst = dev
-                worst_seq = "/".join(
-                    f"{s}:{n}={o}" for (s, n), o in zip(path, outs)
-                )
+        dev = np.abs(model_table - q)
+        k = int(np.argmax(dev))
+        if dev[k] > worst:
+            worst = float(dev[k])
+            outs = np.unravel_index(k, [len(labels[s]) for s in path])
+            worst_seq = "/".join(
+                f"{s}:{n}={labels[(s, n)][o]}" for (s, n), o in zip(path, outs)
+            )
     structural: dict = {
         "shape": m.shape,
         "weight_sum_deviation": abs(float(np.sum(m.space.weights)) - 1.0),
         "min_weight": float(np.min(m.space.weights)) if len(m.space) else 0.0,
-        "responses_read_only_past": True,
+        "responses_read_only_past": bad is None,
         "per_side_responses": m.shape in ("local_causal", "stochastic"),
     }
     if isinstance(m, StochasticModel):
         kdev = 0.0
         for atom in m.space.atoms:
             for side in (1, 2):
-                for dist in m.kernels[atom][side].values():
+                for dist in m.kernels.get(atom, {}).get(side, {}).values():
                     kdev = max(kdev, abs(sum(dist.values()) - 1.0))
         structural["kernel_normalization_deviation"] = kdev
     passed = worst <= tol and structural["weight_sum_deviation"] <= 1e-9

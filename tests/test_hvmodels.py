@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -428,6 +430,23 @@ class TestVerifyReport:
         assert not rep.passed
         assert rep.max_deviation > 0.4
 
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_local_models_detect_wrong_state(self, stochastic):
+        m = product_local_model(
+            np.diag([0.7, 0.3]).astype(complex),
+            np.diag([0.6, 0.4]).astype(complex),
+            z_only_ctx(1),
+        )
+        if stochastic:
+            m = deterministic_to_stochastic(m)
+        rep = verify_model(m, diag_product(1.0, 1.0))
+        assert not rep.passed
+        # |00> gives (+1, +1) with certainty; the model gives it 0.7 * 0.6
+        assert rep.max_deviation == pytest.approx(1.0 - 0.7 * 0.6, abs=1e-12)
+        assert rep.worst_sequence == "1:mz=+1/2:mz=+1"
+        assert rep.n_sequences == 3
+        assert rep.structural["responses_read_only_past"] is True
+
     def test_kernel_normalization_reported(self):
         m = product_local_model(
             np.diag([0.7, 0.3]).astype(complex),
@@ -438,6 +457,176 @@ class TestVerifyReport:
         rep = verify_model(s, diag_product(0.7, 0.6))
         assert rep.passed
         assert rep.structural["kernel_normalization_deviation"] < 1e-12
+
+
+def random_density(rng, d1: int, d2: int) -> states.DensityMatrix:
+    g = rng.normal(size=(d1 * d2, d1 * d2)) + 1j * rng.normal(size=(d1 * d2, d1 * d2))
+    mat = g @ g.conj().T
+    return states.make_density(mat / np.real(np.trace(mat)), (d1, d2))
+
+
+def random_families(rng, d: int, prefix: str) -> tuple[OperationFamily, ...]:
+    """An ideal family of a random observable and the canonical operations
+    of a random three-outcome POVM."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    obs = measurement.Observable.from_matrix(g + g.conj().T, f"{prefix}o")
+    parts = []
+    for _ in range(3):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        parts.append(g @ g.conj().T)
+    vals, vecs = np.linalg.eigh(sum(parts))
+    root = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
+    effects = tuple(root @ a @ root for a in parts)
+    effects = tuple((e + e.conj().T) / 2 for e in effects)
+    povm = Povm(("p", "q", "r"), effects)
+    return (OperationFamily.ideal(obs, f"{prefix}o"),
+            OperationFamily.from_povm(povm, f"{prefix}p"))
+
+
+def collected_path(c1, c2):
+    return tuple((1, n) for n in c1) + tuple((2, n) for n in c2)
+
+
+class TestQuantumTables:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_agree_with_sequence_distribution(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        rho = random_density(rng, *dims)
+        ctx = Context(random_families(rng, dims[0], "a"),
+                      random_families(rng, dims[1], "b"), 2, 2)
+        tables = hvmodels.QuantumTables(rho, ctx)
+        paths = [collected_path(c1, c2) for c1, c2 in ctx.collected_sequences()]
+        checked = [(p, tables.collected(*hvmodels._split(p)).ravel()) for p in paths]
+        checked += [(p, tables.interleaved(p)) for p in ctx.interleaved_sequences()]
+        assert len(checked) == 48 + 164
+        for path, table in checked:
+            seq = measurement.local_sequence(
+                rho.dims, [(s, ctx.step_family((s, n))) for s, n in path]
+            )
+            want = measurement.sequence_distribution(rho, seq)
+            assert table.shape == (len(want),)
+            assert np.max(np.abs(table - np.array(list(want.values())))) < 1e-12
+
+    def test_rejects_mismatched_dims(self):
+        with pytest.raises(ValueError):
+            hvmodels.QuantumTables(states.werner(3), qubit_pair_ctx(1))
+
+
+# Per-atom loops computing the model tables one sequence at a time; the array
+# engine behind distribution_* must reproduce them.
+
+
+def reference_interleaved(m: DeterministicModel, path) -> dict:
+    out: dict = {}
+    if m.shape == "causal":
+        for atom, w in zip(m.space.atoms, m.space.weights):
+            key = m.responses[atom][path]
+            out[key] = out.get(key, 0.0) + float(w)
+        return out
+    idx1 = [i for i, s in enumerate(path) if s[0] == 1]
+    idx2 = [i for i, s in enumerate(path) if s[0] == 2]
+    c1 = tuple(path[i][1] for i in idx1)
+    c2 = tuple(path[i][1] for i in idx2)
+    for atom, w in zip(m.space.atoms, m.space.weights):
+        o1 = m.responses[atom][1][c1] if c1 else ()
+        o2 = m.responses[atom][2][c2] if c2 else ()
+        merged = [None] * len(path)
+        for i, o in zip(idx1, o1):
+            merged[i] = o
+        for i, o in zip(idx2, o2):
+            merged[i] = o
+        key = tuple(merged)
+        out[key] = out.get(key, 0.0) + float(w)
+    return out
+
+
+def reference_side_distribution(s: StochasticModel, atom, side, choices) -> dict:
+    table: dict = {(): 1.0}
+    for k in range(1, len(choices) + 1):
+        new: dict = {}
+        for past, p in table.items():
+            if p == 0.0:
+                continue
+            for o, q in s.kernel(atom, side, choices[:k], past).items():
+                new[past + (o,)] = new.get(past + (o,), 0.0) + p * q
+        table = new
+    return table
+
+
+def reference_collected(s: StochasticModel, c1, c2) -> dict:
+    out: dict = {}
+    for atom, w in zip(s.space.atoms, s.space.weights):
+        t1 = reference_side_distribution(s, atom, 1, c1)
+        t2 = reference_side_distribution(s, atom, 2, c2)
+        for o1, p1 in t1.items():
+            for o2, p2 in t2.items():
+                out[o1 + o2] = out.get(o1 + o2, 0.0) + float(w) * p1 * p2
+    return out
+
+
+def random_stochastic(rng, labels) -> StochasticModel:
+    """Three atoms with random kernels over ``labels`` on every own past,
+    some entries exactly zero."""
+    ctx = Context((MZ, MX), (MX,), 2, 1)
+    kernels = {}
+    for atom in ("a", "b", "c"):
+        per_side = {}
+        for side in (1, 2):
+            nodes = {}
+            for choices in ctx.choice_sequences(side)[1:]:
+                for past in itertools.product(labels, repeat=len(choices) - 1):
+                    p = rng.dirichlet(np.ones(len(labels)))
+                    p[rng.random(len(labels)) < 0.3] = 0.0
+                    p = p / p.sum() if p.sum() > 0 else np.eye(len(labels))[0]
+                    nodes[(choices, past)] = dict(zip(labels, p.tolist()))
+            per_side[side] = nodes
+        kernels[atom] = per_side
+    space = FiniteSampleSpace(("a", "b", "c"), np.array([0.2, 0.0, 0.8]))
+    return StochasticModel(space, ctx, kernels)
+
+
+class TestModelTables:
+    def deterministic_models(self):
+        rng = np.random.default_rng(7)
+        causal = trivial_causal_model(
+            random_density(rng, 2, 3),
+            Context(random_families(rng, 2, "a"), random_families(rng, 3, "b"), 1, 1),
+        )
+        local = mix_models(
+            [product_local_model(np.diag([0.7, 0.3]).astype(complex),
+                                 np.diag([0.6, 0.4]).astype(complex), qubit_pair_ctx(2)),
+             product_local_model(np.eye(2, dtype=complex) / 2,
+                                 np.diag([0.1, 0.9]).astype(complex), qubit_pair_ctx(2))],
+            [0.25, 0.75],
+        )
+        other_labels = stochastic_to_deterministic(random_stochastic(rng, ("u", "v", "+1")))
+        return causal, local, other_labels
+
+    def test_deterministic_tables_match_reference_loop(self):
+        for m in self.deterministic_models():
+            for path in m.context.interleaved_sequences():
+                assert m.distribution_interleaved(path) == reference_interleaved(m, path)
+            for c1, c2 in m.context.collected_sequences():
+                path = collected_path(c1, c2)
+                assert m.distribution_collected(c1, c2) == reference_interleaved(m, path)
+
+    @pytest.mark.parametrize("labels", [("+1", "-1"), ("u", "v", "+1")])
+    def test_stochastic_tables_match_reference_loop(self, labels):
+        s = random_stochastic(np.random.default_rng(len(labels)), labels)
+        for c1, c2 in s.context.collected_sequences():
+            got = s.distribution_collected(c1, c2)
+            want = reference_collected(s, c1, c2)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, abs=1e-12)
+
+    def test_malformed_responses_raise_value_error(self):
+        m = product_local_model(np.eye(2, dtype=complex) / 2,
+                                np.eye(2, dtype=complex) / 2, qubit_pair_ctx(2))
+        atom = m.space.atoms[0]
+        del m.responses[atom][1][("mz", "mx")]
+        with pytest.raises(ValueError, match="mz"):
+            m.distribution_collected(("mz", "mx"), ())
 
 
 class TestModelJson:
@@ -460,6 +649,54 @@ class TestModelJson:
             qubit_pair_ctx(2),
         )
         self.round_trip_check(m, diag_product(0.7, 0.6))
+
+    @staticmethod
+    def broken_json(shape: str, how: str) -> tuple[dict, str]:
+        """JSON of a verified model with one depth-2 response removed, or
+        re-keyed under the other first outcome so that it no longer extends
+        the atom's response to its prefix; returns (json, sequence named)."""
+        if shape == "causal":
+            m = trivial_causal_model(states.singlet(), z_only_ctx(1))
+            first, step = "1:mz", "2:mz"
+        else:
+            m = product_local_model(np.diag([0.7, 0.3]).astype(complex),
+                                    np.diag([0.6, 0.4]).astype(complex), qubit_pair_ctx(2))
+            first, step = "mz", "mx"
+        obj = model_to_json(m)
+        atom = m.space.atoms[0]
+        tree = obj["responses"][atom] if shape == "causal" else obj["responses"][atom]["side1"]
+        seg, outcome = next(k.split("/")[:2] for k in tree if k.startswith(first + "/"))
+        value = tree.pop(f"{seg}/{outcome}/{step}")
+        if how == "inconsistent":
+            other = "-1" if outcome == "+1" else "+1"
+            tree[f"{seg}/{other}/{step}"] = value
+        named = f"{first}/{step}" if shape == "causal" else f"1:{first}/1:{step}"
+        return obj, named
+
+    @pytest.mark.parametrize("shape", ["causal", "local_causal"])
+    @pytest.mark.parametrize("how", ["missing", "inconsistent"])
+    def test_broken_responses_fail_verification(self, shape, how):
+        obj, named = self.broken_json(shape, how)
+        m = model_from_json(obj)
+        rho = states.singlet() if shape == "causal" else diag_product(0.7, 0.6)
+        rep = verify_model(m, rho)
+        assert not rep.passed
+        assert rep.structural["responses_read_only_past"] is False
+        assert rep.worst_sequence == named
+        assert rep.max_deviation == float("inf")
+        assert rep.n_sequences == 0
+
+    def test_missing_kernel_fails_verification(self):
+        m = product_local_model(np.diag([0.7, 0.3]).astype(complex),
+                                np.diag([0.6, 0.4]).astype(complex), qubit_pair_ctx(2))
+        obj = model_to_json(deterministic_to_stochastic(m))
+        kernels = obj["kernels"][m.space.atoms[0]]["side2"]
+        key = next(k for k in kernels if k.count("/") == 2)
+        del kernels[key]
+        rep = verify_model(model_from_json(obj), diag_product(0.7, 0.6))
+        assert not rep.passed
+        assert rep.structural["responses_read_only_past"] is False
+        assert rep.worst_sequence == "/".join(f"2:{n}" for n in key.split("/")[0::2])
 
     def test_stochastic_round_trip(self):
         m = product_local_model(
