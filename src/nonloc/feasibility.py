@@ -21,6 +21,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog, nnls
 
 from . import hilbert, hvmodels, measurement, states
@@ -48,82 +49,6 @@ class LpNumericalFailure(RuntimeError):
     def __init__(self, message: str, result: "FeasibilityResult | None" = None):
         self.result = result
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class LocalStrategy:
-    """Full deterministic causal response tree for one side up to depth k.
-
-    ``assignments`` maps every (choice sequence, outcome past) node to an
-    outcome, including pasts the strategy itself never realizes.
-    """
-
-    assignments: tuple[tuple[tuple[tuple[str, ...], tuple[str, ...]], str], ...]
-
-    def as_dict(self) -> dict:
-        return dict(self.assignments)
-
-    def realized(self) -> dict[tuple[str, ...], tuple[str, ...]]:
-        """Restrict to the pasts this tree actually produces."""
-        table = self.as_dict()
-        out: dict[tuple[str, ...], tuple[str, ...]] = {}
-
-        def walk(choices: tuple[str, ...]) -> tuple[str, ...]:
-            if choices in out:
-                return out[choices]
-            past = walk(choices[:-1]) if len(choices) > 1 else ()
-            outcome = table[(choices, past)]
-            full = past + (outcome,)
-            out[choices] = full
-            return full
-
-        for (choices, _), _ in self.assignments:
-            walk(choices)
-        return out
-
-
-def _side_nodes(families: tuple[OperationFamily, ...], k: int):
-    """All (choice sequence, outcome past) nodes up to depth k, in order."""
-    by_name = {f.name: f for f in families}
-    names = tuple(by_name)
-    for depth in range(1, k + 1):
-        for choices in itertools.product(names, repeat=depth):
-            pasts = itertools.product(
-                *(by_name[n].labels for n in choices[:-1])
-            )
-            for past in pasts:
-                yield choices, tuple(past)
-
-
-def _count_side_trees(families: tuple[OperationFamily, ...], k: int) -> int:
-    total = 1
-    by_name = {f.name: f for f in families}
-    for choices, _ in _side_nodes(families, k):
-        total *= len(by_name[choices[-1]].labels)
-    return total
-
-
-def _enumerate_side_trees(families: tuple[OperationFamily, ...], k: int):
-    by_name = {f.name: f for f in families}
-    nodes = list(_side_nodes(families, k))
-    option_lists = [by_name[c[-1]].labels for c, _ in nodes]
-    for combo in itertools.product(*option_lists):
-        yield LocalStrategy(tuple(zip(nodes, combo)))
-
-
-def enumerate_strategies(
-    ctx: Context, k: int, strategy_budget: int = STRATEGY_BUDGET
-) -> list[tuple[LocalStrategy, LocalStrategy]]:
-    """Exhaustive, duplicate-free list of per-side strategy tree pairs."""
-    n1 = _count_side_trees(ctx.side1, k)
-    n2 = _count_side_trees(ctx.side2, k)
-    if n1 * n2 > strategy_budget:
-        raise BudgetExceededError(
-            f"{n1} x {n2} strategy pairs exceed budget {strategy_budget}"
-        )
-    side1 = list(_enumerate_side_trees(ctx.side1, k))
-    side2 = list(_enumerate_side_trees(ctx.side2, k))
-    return list(itertools.product(side1, side2))
 
 
 def _realized_side_trees(families: tuple[OperationFamily, ...], k: int, budget: int):
@@ -176,6 +101,57 @@ def result_to_json(res: FeasibilityResult) -> dict:
     return out
 
 
+def _phase1_system(
+    rho: DensityMatrix, lp_ctx: Context, trees1: list[dict], trees2: list[dict]
+) -> tuple[sparse.csc_array, np.ndarray]:
+    """Equality constraints [kron(S1, S2) | I | -I] x = b of the phase-1 LP.
+
+    Rows are the outcome strings of every collected sequence, in the order of
+    ``sequence_distribution``; ``b`` holds their probabilities, from
+    ``hvmodels.QuantumTables``.  Columns are the strategy pairs (t1, t2) at
+    t1 * n2 + t2, then the two slack blocks.  A pair's column holds exactly
+    one 1 per sequence, at the row of the outcome string its two trees give,
+    so all row indices come from one broadcast of the per-side outcome
+    indices.
+    """
+    quantum = hvmodels.QuantumTables(rho, lp_ctx)
+    seqs = list(lp_ctx.collected_sequences())
+    tables = [quantum.collected(c1, c2) for c1, c2 in seqs]
+    b_vec = np.concatenate([t.ravel() for t in tables])
+    side1, side2 = (
+        hvmodels._response_indices(
+            trees, lp_ctx.choice_sequences(side)[1:], lp_ctx.labels(side)
+        )[0]
+        for side, trees in ((1, trees1), (2, trees2))
+    )
+    idx1 = np.stack([side1[c1] for c1, _ in seqs])
+    idx2 = np.stack([side2[c2] for _, c2 in seqs])
+    width = np.array([t.shape[1] for t in tables])
+    offset = np.cumsum([0] + [t.size for t in tables[:-1]])
+    rows = (offset[:, None, None] + idx1[:, :, None] * width[:, None, None]
+            + idx2[:, None, :])
+    n_seq, n_cols, n_rows = len(seqs), len(trees1) * len(trees2), b_vec.size
+    n_ones = n_cols * n_seq
+    slack = np.arange(n_rows)
+    indices = np.concatenate([rows.reshape(n_seq, n_cols).T.ravel(), slack, slack])
+    indptr = np.concatenate(
+        [np.arange(0, n_ones, n_seq), n_ones + np.arange(2 * n_rows + 1)]
+    )
+    data = np.concatenate([np.ones(n_ones + n_rows), -np.ones(n_rows)])
+    shape = (n_rows, n_cols + 2 * n_rows)
+    return sparse.csc_array((data, indices, indptr), shape=shape), b_vec
+
+
+def _row_labels(lp_ctx: Context) -> list[str]:
+    """Constraint-row labels ``side:family=outcome/...``, in row order."""
+    out = []
+    for c1, c2 in lp_ctx.collected_sequences():
+        path = [(1, n) for n in c1] + [(2, n) for n in c2]
+        for outs in itertools.product(*(lp_ctx.family(s, n).labels for s, n in path)):
+            out.append("/".join(f"{s}:{n}={o}" for (s, n), o in zip(path, outs)))
+    return out
+
+
 def lchv_feasibility(
     rho: DensityMatrix,
     ctx: Context,
@@ -187,17 +163,27 @@ def lchv_feasibility(
     """Decide local-causal realizability of all length-<=k sequences.
 
     Phase-1 LP: minimize the total slack needed to express every sequence
-    probability as a mixture of deterministic local strategies.  An optimum
-    at most ``lp_tol`` counts as feasible (the certificate is then re-fit by
-    nonnegative least squares and the resulting model verified); an optimum
-    of at least ``100 * lp_tol`` counts as infeasible, with the phase-1 dual
-    reported as a separating functional.  Anything between raises
-    ``LpNumericalFailure``.
+    probability as a mixture of deterministic local strategies.  The
+    constraint matrix is the sparse Kronecker product of the two sides'
+    strategy indicator matrices, and the targets are the collected quantum
+    tables (see ``_phase1_system``).
+
+    An optimum at most ``lp_tol`` counts as feasible: the certificate is
+    re-fit by nonnegative least squares on the LP's optimal face (the
+    strategy pairs with positive weight or with reduced cost at most
+    ``lp_tol``), and the resulting model verified.  An optimum of at least
+    ``100 * lp_tol`` counts as infeasible, with the phase-1 dual reported as
+    a separating functional whose separation must clear the same margin.
+    Anything between raises ``LpNumericalFailure``.
     """
     if ctx.dims != rho.dims:
         raise ValueError("context dims do not match state dims")
     k1 = min(k, ctx.max_len1) if ctx.side1 else 0
     k2 = min(k, ctx.max_len2) if ctx.side2 else 0
+    if k1 == k2 == 0:
+        raise ValueError(
+            f"no sequence to decide: k={k} and the context caps allow no step"
+        )
     lp_ctx = Context(ctx.side1, ctx.side2, k1, k2)
     trees1 = _realized_side_trees(ctx.side1, k1, strategy_budget)
     trees2 = _realized_side_trees(ctx.side2, k2, strategy_budget)
@@ -208,42 +194,11 @@ def lchv_feasibility(
         )
     log.info("feasibility LP over %d x %d strategies", n1, n2)
 
-    rows = []
-    targets = []
-    row_labels = []
-    for c1, c2 in lp_ctx.collected_sequences():
-        path = [(1, n) for n in c1] + [(2, n) for n in c2]
-        seq = measurement.local_sequence(
-            rho.dims, [(s, ctx.family(s, n)) for s, n in path]
-        )
-        table = measurement.sequence_distribution(rho, seq)
-        n_1 = len(c1)
-        for outs, prob in table.items():
-            o1, o2 = outs[:n_1], outs[n_1:]
-            mask1 = np.fromiter(
-                ((t[c1] == o1 if c1 else True) for t in trees1),
-                dtype=float,
-                count=n1,
-            )
-            mask2 = np.fromiter(
-                ((t[c2] == o2 if c2 else True) for t in trees2),
-                dtype=float,
-                count=n2,
-            )
-            rows.append(np.outer(mask1, mask2).ravel())
-            targets.append(prob)
-            row_labels.append(
-                "/".join(f"{s}:{n}={o}" for (s, n), o in zip(path, outs))
-            )
-    a_mat = np.array(rows)
-    b_vec = np.array(targets)
+    a_eq, b_vec = _phase1_system(rho, lp_ctx, trees1, trees2)
     n_cols = n1 * n2
-    n_rows = len(targets)
+    n_rows = b_vec.size
 
-    cost = np.concatenate(
-        [np.zeros(n_cols), np.ones(2 * n_rows)]
-    )
-    a_eq = np.hstack([a_mat, np.eye(n_rows), -np.eye(n_rows)])
+    cost = np.concatenate([np.zeros(n_cols), np.ones(2 * n_rows)])
     res = linprog(cost, A_eq=a_eq, b_eq=b_vec, bounds=(0, None), method="highs")
     if res.status != 0:
         raise LpNumericalFailure(f"LP solver failed: {res.message}")
@@ -251,15 +206,24 @@ def lchv_feasibility(
     log.info("phase-1 optimum %.3e", opt)
 
     if opt <= lp_tol:
-        x_refined, _ = nnls(a_mat, b_vec)
-        residual = float(np.max(np.abs(a_mat @ x_refined - b_vec)))
+        face = np.flatnonzero(
+            (res.x[:n_cols] > 0) | (res.lower.marginals[:n_cols] <= lp_tol)
+        )
+        a_face = a_eq[:, face].toarray()
+        x_face, _ = nnls(a_face, b_vec)
+        residual = float(np.max(np.abs(a_face @ x_face - b_vec)))
         if residual > lp_tol:
             raise LpNumericalFailure(
                 f"certificate refinement residual {residual:.3e} above lp_tol",
                 FeasibilityResult("indeterminate", residual),
             )
-        support = np.flatnonzero(x_refined > 1e-14)
-        weights = x_refined[support]
+        kept = x_face > 1e-14
+        support = face[kept]
+        log.debug(
+            "feasibility LP: %d rows, %d nonzeros, %d face columns, "
+            "certificate support %d", n_rows, a_eq.nnz, face.size, support.size,
+        )
+        weights = x_face[kept]
         weights = weights / float(np.sum(weights))
         atoms = []
         responses = {}
@@ -294,15 +258,22 @@ def lchv_feasibility(
         if float(y @ b_vec) < 0:
             y = -y
         value_on_targets = float(y @ b_vec)
-        max_on_strategies = float(np.max(y @ a_mat))
+        max_on_strategies = float(np.max((a_eq.T @ y)[:n_cols]))
+        separation = value_on_targets - max_on_strategies
+        if separation < 100.0 * lp_tol:
+            raise LpNumericalFailure(
+                f"witness separation {separation:.3e} below the margin "
+                f"{100 * lp_tol:.0e}",
+                FeasibilityResult("indeterminate", opt),
+            )
         witness = {
             "functional": {
-                lab: float(coef) for lab, coef in zip(row_labels, y)
+                lab: float(coef) for lab, coef in zip(_row_labels(lp_ctx), y)
                 if abs(coef) > 1e-12
             },
             "value_on_targets": value_on_targets,
             "max_on_strategies": max_on_strategies,
-            "separation": value_on_targets - max_on_strategies,
+            "separation": separation,
         }
         return FeasibilityResult("infeasible", opt, witness=witness)
 

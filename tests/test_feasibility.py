@@ -1,26 +1,27 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from nonloc import hvmodels, measurement, states
+from nonloc import acceptance, feasibility, hvmodels, measurement, states
 from nonloc.feasibility import (
+    LP_TOL,
     ChshSettings,
-    LocalStrategy,
     LpNumericalFailure,
-    _count_side_trees,
-    _enumerate_side_trees,
+    _phase1_system,
     _realized_side_trees,
+    _row_labels,
     bell_polytope_oracle,
     chsh_maximize,
     chsh_value,
     classify_evidence,
     correlation_table,
-    enumerate_strategies,
     lchv_feasibility,
     result_to_json,
 )
 from nonloc.hvmodels import BudgetExceededError, Context
-from nonloc.measurement import Observable, OperationFamily, pauli
+from nonloc.measurement import Observable, OperationFamily, pauli, smeared_povm
 from nonloc.states import ZeroProbabilityOutcome
 
 RT2 = np.sqrt(2.0)
@@ -29,6 +30,16 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 MZ = OperationFamily.ideal(pauli("z"), "mz")
 MX = OperationFamily.ideal(pauli("x"), "mx")
+# three- and two-outcome qutrit observables, and a smeared (non-ideal) x
+Q3 = OperationFamily.ideal(
+    Observable.from_matrix(np.diag([1.0, 0.0, -1.0]).astype(complex), "q3")
+)
+Q2 = OperationFamily.ideal(
+    Observable.from_matrix(np.diag([1.0, -1.0, -1.0]).astype(complex), "q2")
+)
+SMEARED_X = OperationFamily.from_povm(
+    smeared_povm(pauli("x"), np.array([[0.8, 0.3], [0.2, 0.7]])), "sx"
+)
 
 
 def qubit_pair_ctx(max_len: int) -> Context:
@@ -56,52 +67,147 @@ def diag_product(p1: float, p2: float) -> states.DensityMatrix:
     return states.make_density(np.kron(a, b), (2, 2))
 
 
+def n_trees(families, k: int) -> int:
+    return len(_realized_side_trees(families, k, 10**6))
+
+
 class TestStrategyEnumeration:
     def test_single_family_depth_one(self):
-        ctx = Context((MZ,), (MZ,), 1, 1)
-        pairs = enumerate_strategies(ctx, 1)
-        assert len(pairs) == 4
+        assert n_trees((MZ,), 1) == 2
 
     def test_two_families_depth_one(self):
-        pairs = enumerate_strategies(qubit_pair_ctx(1), 1)
-        assert len(pairs) == 16
+        assert n_trees((MZ, MX), 1) == 4
 
-    def test_full_tree_count_depth_two(self):
-        # 2 observables, 2 outcomes: 4 first-step nodes and 8 depth-2 nodes
-        assert _count_side_trees((MZ, MX), 2) == 1024
+    def test_realized_count_is_product_over_choice_sequences(self):
+        # one response per own-side choice sequence, whatever the past
+        for fams, k, want in (((MZ, MX), 2, 2**6), ((MZ,), 3, 2**3),
+                              ((Q3, Q2), 2, 3 * 2 * 3 * 2 * 3 * 2)):
+            assert n_trees(fams, k) == want
 
     def test_depth_two_exceeds_budget(self):
         with pytest.raises(BudgetExceededError):
-            enumerate_strategies(qubit_pair_ctx(2), 2)
+            _realized_side_trees((MZ, MX), 2, 63)
+        assert len(_realized_side_trees((MZ, MX), 2, 64)) == 64
 
     def test_single_family_depth_two(self):
-        ctx = Context((MZ,), (MZ,), 2, 2)
-        assert _count_side_trees((MZ,), 2) == 8
-        assert len(enumerate_strategies(ctx, 2)) == 64
+        # the second z outcome repeats the first: 8 full trees, 4 realized
+        trees = _realized_side_trees((MZ,), 2, 10**6)
+        assert [t[("mz", "mz")] for t in trees] == [
+            ("+1", "+1"), ("+1", "-1"), ("-1", "+1"), ("-1", "-1")
+        ]
 
     def test_realized_trees_collapse_duplicates(self):
-        # full trees assign outcomes on unreachable pasts; realized trees do not
         realized = _realized_side_trees((MZ, MX), 2, 10**6)
         assert len(realized) == 64
-        full = list(_enumerate_side_trees((MZ,), 2))
-        assert len(full) == 8
-        distinct = {
-            tuple(sorted(s.realized().items())) for s in full
-        }
-        assert len(distinct) == 4
+        assert len({tuple(sorted(t.items())) for t in realized}) == 64
 
     def test_realized_is_prefix_consistent(self):
-        for tree, _ in zip(_enumerate_side_trees((MZ, MX), 2), range(20)):
-            realized = tree.realized()
-            for choices, outs in realized.items():
+        for tree in _realized_side_trees((MZ, MX), 2, 10**6):
+            assert len(tree) == 6
+            for choices, outs in tree.items():
                 assert len(choices) == len(outs)
                 if len(choices) > 1:
-                    assert realized[choices[:-1]] == outs[:-1]
+                    assert tree[choices[:-1]] == outs[:-1]
 
-    def test_local_strategy_dict_round_trip(self):
-        tree = next(iter(_enumerate_side_trees((MZ,), 1)))
-        assert isinstance(tree, LocalStrategy)
-        assert tree.as_dict() == dict(tree.assignments)
+
+def reference_system(rho, lp_ctx: Context, trees1, trees2):
+    """Dense phase-1 system built row by row from tree masks and
+    ``sequence_distribution``: (strategy columns, targets, row labels)."""
+    rows, targets, labels = [], [], []
+    for c1, c2 in lp_ctx.collected_sequences():
+        path = [(1, n) for n in c1] + [(2, n) for n in c2]
+        seq = measurement.local_sequence(
+            rho.dims, [(s, lp_ctx.family(s, n)) for s, n in path]
+        )
+        for outs, prob in measurement.sequence_distribution(rho, seq).items():
+            o1, o2 = outs[:len(c1)], outs[len(c1):]
+            mask1 = np.array([not c1 or t[c1] == o1 for t in trees1], dtype=float)
+            mask2 = np.array([not c2 or t[c2] == o2 for t in trees2], dtype=float)
+            rows.append(np.outer(mask1, mask2).ravel())
+            targets.append(prob)
+            labels.append("/".join(f"{s}:{n}={o}" for (s, n), o in zip(path, outs)))
+    return np.array(rows), np.array(targets), labels
+
+
+ASSEMBLY_CASES = {
+    "zx-k1": (Context((MZ, MX), (MZ, MX), 1, 1), (2, 2)),
+    "zx-k2": (Context((MZ, MX), (MZ, MX), 2, 2), (2, 2)),
+    "caps-2-1": (Context((MZ, MX), (MZ, MX), 2, 1), (2, 2)),
+    "qutrit": (Context((Q3, Q2), (Q3,), 2, 1), (3, 3)),
+    "povm": (Context((MZ, SMEARED_X), (SMEARED_X, MX), 2, 2), (2, 2)),
+    "empty-side": (Context((MZ, MX), (), 2, 0), (2, 1)),
+}
+
+
+class TestPhase1System:
+    @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+    def test_matches_row_by_row_reference(self, case):
+        lp_ctx, dims = ASSEMBLY_CASES[case]
+        rho = acceptance._random_density(np.random.default_rng(len(case)), *dims)
+        trees1 = _realized_side_trees(lp_ctx.side1, lp_ctx.max_len1, 10**6)
+        trees2 = _realized_side_trees(lp_ctx.side2, lp_ctx.max_len2, 10**6)
+        a_eq, b_vec = _phase1_system(rho, lp_ctx, trees1, trees2)
+        a_ref, b_ref, labels = reference_system(rho, lp_ctx, trees1, trees2)
+        n_rows, n_cols = a_ref.shape
+        assert n_cols == len(trees1) * len(trees2)
+        assert a_eq.shape == (n_rows, n_cols + 2 * n_rows)
+        assert np.array_equal(a_eq[:, :n_cols].toarray(), a_ref)
+        eye = np.eye(n_rows)
+        assert np.array_equal(a_eq[:, n_cols:].toarray(), np.hstack([eye, -eye]))
+        assert np.max(np.abs(b_vec - b_ref)) <= 1e-12
+        assert _row_labels(lp_ctx) == labels
+
+
+class TestCertificateRefit:
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.25])
+    def test_werner_random_settings_depth_two(self, c, monkeypatch):
+        refit_cols = []
+        real_nnls = feasibility.nnls
+
+        def recording_nnls(a, b):
+            refit_cols.append(a.shape[1])
+            return real_nnls(a, b)
+
+        monkeypatch.setattr(feasibility, "nnls", recording_nnls)
+        rng = np.random.default_rng(int(100 * c))
+        mats = [acceptance._random_involution(rng) for _ in range(4)]
+        ctx = acceptance._involution_context(mats[:2], mats[2:], 2)
+        res = lchv_feasibility(states.werner_gen(2, c), ctx, 2)
+        assert res.status == "feasible"
+        assert res.max_residual <= LP_TOL
+        assert res.report is not None and res.report.passed
+        # the refit sees the optimal face only, not all 64 x 64 pairs
+        assert len(refit_cols) == 1 and len(res.certificate) <= refit_cols[0] < 64 * 64
+
+    def test_debug_line_reports_sizes(self, caplog):
+        with caplog.at_level("DEBUG", logger="nonloc.feasibility"):
+            res = lchv_feasibility(states.werner_gen(2, 0.2), qubit_pair_ctx(1), 1)
+        lines = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert len(lines) == 1
+        # 8 sequences: one nonzero each in 16 strategy columns, 48 slack ones
+        found = re.fullmatch(
+            r"feasibility LP: 24 rows, 176 nonzeros, (\d+) face columns, "
+            r"certificate support (\d+)", lines[0]
+        )
+        assert found is not None
+        face, support = map(int, found.groups())
+        assert support == len(res.certificate) <= face <= 16
+
+
+class TestWitnessMargin:
+    def test_zeroed_duals_are_indeterminate(self, monkeypatch):
+        real_linprog = feasibility.linprog
+
+        def zeroed_duals(*args, **kwargs):
+            res = real_linprog(*args, **kwargs)
+            res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
+            return res
+
+        monkeypatch.setattr(feasibility, "linprog", zeroed_duals)
+        with pytest.raises(LpNumericalFailure, match="witness separation") as exc:
+            lchv_feasibility(states.singlet(), chsh_angle_ctx(1), 1)
+        assert exc.value.result.status == "indeterminate"
+        assert exc.value.result.max_residual >= 100 * LP_TOL
 
 
 class TestLchvFeasibility:
@@ -142,6 +248,10 @@ class TestLchvFeasibility:
         # k larger than the caps only probes what the context allows
         res = lchv_feasibility(diag_product(0.7, 0.6), qubit_pair_ctx(1), 3)
         assert res.status == "feasible"
+
+    def test_no_step_is_an_input_error(self):
+        with pytest.raises(ValueError, match="no sequence to decide"):
+            lchv_feasibility(diag_product(0.7, 0.6), qubit_pair_ctx(1), 0)
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
