@@ -19,10 +19,9 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog, nnls
 
 from . import hilbert, hvmodels, measurement, states
 from .hilbert import DimPair
@@ -36,11 +35,39 @@ from .hvmodels import (
 from .measurement import Observable, OperationFamily
 from .states import DensityMatrix, PROB_FLOOR
 
+if TYPE_CHECKING:  # bound at run time by _load_scipy
+    from scipy import sparse
+    from scipy.optimize import linprog, nnls
+
 log = logging.getLogger("nonloc.feasibility")
 
 LP_TOL = 1e-9
 STRATEGY_BUDGET = 10**6
 TSIRELSON = 2.0 * np.sqrt(2.0)
+
+_SCIPY_NAMES = ("sparse", "linprog", "nnls")
+
+
+def _load_scipy() -> None:
+    """Bind ``sparse``, ``linprog`` and ``nnls`` as module globals.
+
+    scipy is imported by the first LP, not by ``import nonloc``: the model
+    builders, ``verify_model`` and the CHSH probes need numpy only.  A name
+    already set is kept, so a function put on ``feasibility.linprog`` before
+    the first LP is the one the LP calls.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog, nnls
+
+    for name, value in zip(_SCIPY_NAMES, (sparse, linprog, nnls)):
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    if name in _SCIPY_NAMES:
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LpNumericalFailure(RuntimeError):
@@ -112,8 +139,9 @@ def _phase1_system(
     t1 * n2 + t2, then the two slack blocks.  A pair's column holds exactly
     one 1 per sequence, at the row of the outcome string its two trees give,
     so all row indices come from one broadcast of the per-side outcome
-    indices.
+    indices.  This is the LP's first use of scipy, so it calls ``_load_scipy``.
     """
+    _load_scipy()
     quantum = hvmodels.QuantumTables(rho, lp_ctx)
     seqs = list(lp_ctx.collected_sequences())
     tables = [quantum.collected(c1, c2) for c1, c2 in seqs]
@@ -194,7 +222,7 @@ def lchv_feasibility(
         )
     log.info("feasibility LP over %d x %d strategies", n1, n2)
 
-    a_eq, b_vec = _phase1_system(rho, lp_ctx, trees1, trees2)
+    a_eq, b_vec = _phase1_system(rho, lp_ctx, trees1, trees2)  # loads scipy
     n_cols = n1 * n2
     n_rows = b_vec.size
 
@@ -446,27 +474,23 @@ def correlation_table(
 ) -> np.ndarray:
     """Joint table p[x, y, a, b] of two two-outcome observables per side.
 
-    Outcome index 0 is the +1 eigenspace (descending eigenvalue order).
+    Outcome index 0 is the +1 eigenspace (descending eigenvalue order).  The
+    table is one contraction tr(rho P_xa (x) Q_yb) over the two sides'
+    (setting, outcome) projector stacks.
     """
-    table = np.empty((2, 2, 2, 2))
     projs = []
-    for mats, side_dim in ((a_obs, rho.dims.d1), (b_obs, rho.dims.d2)):
+    for mats in (a_obs, b_obs):
         side = []
         for mat in mats:
             spec = hilbert.spectral_decompose(mat)
             if len(spec.projectors) != 2:
                 raise ValueError("correlation tables need two-outcome observables")
             side.append(spec.projectors)
-        projs.append(side)
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    op = hilbert.kron(projs[0][x][a], projs[1][y][b])
-                    table[x, y, a, b] = float(
-                        np.real(np.trace(rho.matrix @ op))
-                    )
-    return table
+        projs.append(np.asarray(side))
+    d1, d2 = rho.dims.d1, rho.dims.d2
+    return np.real(np.einsum(
+        "ijkl,xaki,yblj->xyab", rho.matrix.reshape(d1, d2, d1, d2), *projs
+    ))
 
 
 _CHSH_SIGNS = [

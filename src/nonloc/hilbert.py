@@ -176,10 +176,19 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+def json_field(obj, key: str, where: str):
+    """``obj[key]``, or a ValueError naming the missing field and ``where``
+    (e.g. ``side1 family 'mz'``) it belongs to."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} has no field {key!r}")
+    return obj[key]
+
+
+def matrix_from_json(obj: dict, where: str = "matrix") -> np.ndarray:
+    rows, cols = (int(json_field(obj, key, where)) for key in ("rows", "cols"))
+    re, im = (
+        np.asarray(json_field(obj, key, where), dtype=float) for key in ("re", "im")
+    )
     if re.shape != (rows, cols) or im.shape != (rows, cols):
-        raise ValueError("re/im blocks do not match declared shape")
+        raise ValueError(f"{where}: re/im blocks do not match declared shape")
     return re + 1j * im

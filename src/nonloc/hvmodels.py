@@ -236,14 +236,21 @@ class DeterministicModel:
 
     def _key_indices(self, side: int | None, key: tuple, labels: dict):
         """(index of every atom's response to ``key``, ``labels`` extended by
-        the outcomes the responses use that the families do not list)."""
+        the outcomes the responses use that the families do not list).
+
+        A pass with the families' labels that finds no bad key used no
+        unlisted outcome, so only a failed pass extends the labels and runs
+        again.
+        """
         trees = self._trees(side)
         keys = _prefixes(key)
-        labels = _with_observed(
-            labels, ((k[-1], t[k][-1]) for k in keys for t in trees if t.get(k))
-        )
         indices, bad = _response_indices(trees, keys, labels)
-        _require_complete(bad)
+        if bad is not None:
+            labels = _with_observed(
+                labels, ((k[-1], t[k][-1]) for k in keys for t in trees if t.get(k))
+            )
+            indices, bad = _response_indices(trees, keys, labels)
+            _require_complete(bad)
         return indices[key], labels
 
     def distribution_interleaved(
@@ -320,18 +327,23 @@ class StochasticModel:
 
         Keys are the outcome strings the chain rule reaches at some atom,
         including those a kernel gives probability zero at the last step.
+        As in ``DeterministicModel._key_indices``, the labels are extended by
+        unlisted outcomes only when a pass with the families' labels fails.
         """
         probs, reached, step_labels = [], [], []
         for side, key in ((1, choices1), (2, choices2)):
             kernels = self._side_kernels(side)
             keys = _prefixes(key)
-            labels = _with_observed(self.context.labels(side), (
-                (choices[-1], o) for kern in kernels
-                for (choices, _), dist in kern.items() if choices in keys
-                for o in dist
-            ))
+            labels = self.context.labels(side)
             p, r, bad = _chain_probabilities(kernels, keys, labels)
-            _require_complete(bad)
+            if bad is not None:
+                labels = _with_observed(labels, (
+                    (choices[-1], o) for kern in kernels
+                    for (choices, _), dist in kern.items() if choices in keys
+                    for o in dist
+                ))
+                p, r, bad = _chain_probabilities(kernels, keys, labels)
+                _require_complete(bad)
             probs.append(p[key])
             reached.append(r[key].astype(float))
             step_labels += [labels[n] for n in key]
@@ -1182,11 +1194,16 @@ def context_to_json(ctx: Context) -> dict:
 
 
 def context_from_json(obj: dict) -> Context:
+    """Decode a context; a missing field raises a ValueError that names it
+    and where it is, e.g. ``side1 family 'mz' has no field 'labels'``."""
+    def field(key: str):
+        return hilbert.json_field(obj, key, "context")
+
     return Context(
-        tuple(measurement.family_from_json(f) for f in obj["side1"]),
-        tuple(measurement.family_from_json(f) for f in obj["side2"]),
-        int(obj["max_len1"]),
-        int(obj["max_len2"]),
+        *(tuple(measurement.family_from_json(f, f"{side} family") for f in field(side))
+          for side in ("side1", "side2")),
+        int(field("max_len1")),
+        int(field("max_len2")),
     )
 
 

@@ -376,11 +376,22 @@ def family_to_json(fam: OperationFamily) -> dict:
     }
 
 
-def family_from_json(obj: dict) -> OperationFamily:
+def _operators_from_json(obj: dict, where: str) -> tuple[np.ndarray, ...]:
+    return tuple(
+        hilbert.matrix_from_json(m, f"{where} operator {i}")
+        for i, m in enumerate(hilbert.json_field(obj, "operators", where))
+    )
+
+
+def family_from_json(obj: dict, where: str = "family") -> OperationFamily:
+    """Decode a family; a missing field raises a ValueError that names it and
+    the family (``where`` and the family's name)."""
+    name = hilbert.json_field(obj, "name", where)
+    where = f"{where} {name!r}"
     return OperationFamily(
-        obj["name"],
-        tuple(obj["labels"]),
-        tuple(hilbert.matrix_from_json(m) for m in obj["operators"]),
+        name,
+        tuple(hilbert.json_field(obj, "labels", where)),
+        _operators_from_json(obj, where),
         kind=obj.get("kind", "general"),
     )
 
@@ -395,7 +406,7 @@ def povm_to_json(povm: Povm) -> dict:
 
 def povm_from_json(obj: dict) -> Povm:
     return Povm(
-        tuple(obj["labels"]),
-        tuple(hilbert.matrix_from_json(m) for m in obj["operators"]),
+        tuple(hilbert.json_field(obj, "labels", "povm")),
+        _operators_from_json(obj, "povm"),
         kind=obj.get("kind", "general"),
     )

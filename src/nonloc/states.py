@@ -314,5 +314,6 @@ def state_to_json(rho: DensityMatrix) -> dict:
 
 
 def state_from_json(obj: dict) -> DensityMatrix:
-    d1, d2 = (int(x) for x in obj["dims"])
-    return make_density(hilbert.matrix_from_json(obj["matrix"]), (d1, d2))
+    d1, d2 = (int(x) for x in hilbert.json_field(obj, "dims", "state"))
+    matrix = hilbert.json_field(obj, "matrix", "state")
+    return make_density(hilbert.matrix_from_json(matrix, "state matrix"), (d1, d2))

@@ -234,6 +234,22 @@ class TestExtendPovm:
         assert code == 0
         assert report["results"]["status"] == "not_commuting"
 
+    @pytest.mark.parametrize("drop, message", [
+        (("labels",), "povm has no field 'labels'"),
+        (("operators",), "povm has no field 'operators'"),
+        (("operators", 1, "im"), "povm operator 1 has no field 'im'"),
+    ])
+    def test_missing_field_is_named(self, capsys, tmp_path, drop, message):
+        good = self.write_povm(tmp_path, "good.json", "z", [[0.8, 0.3], [0.2, 0.7]])
+        bad = drop_field(good, drop)
+        code = main(["extend-povm", "--state", "werner_gen:2:0.2",
+                     "--povm1", good, "--povm2", bad])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"usage error: povm file {bad!r} violates the schema: {message}\n"
+        )
+
 
 class TestReproduce:
     def test_subset_passes(self, capsys):
@@ -252,6 +268,19 @@ class TestReproduce:
         capsys.readouterr()
 
 
+def drop_field(path: str, drop: tuple) -> str:
+    """Copy of the JSON file at ``path`` without the field at key path
+    ``drop``, written next to it; returns the copy's path."""
+    obj = json.loads(Path(path).read_text())
+    node = obj
+    for key in drop[:-1]:
+        node = node[key]
+    del node[drop[-1]]
+    out = Path(path).with_name("missing-" + "-".join(map(str, drop)) + ".json")
+    out.write_text(json.dumps(obj))
+    return str(out)
+
+
 class TestErrorsAndExitCodes:
     def test_unknown_state_string(self, capsys):
         assert main(["werner", "--d", "2", "--c", "nonsense"]) == 1
@@ -267,6 +296,35 @@ class TestErrorsAndExitCodes:
              "--context", "/nonexistent.json", "--k", "1"]
         ) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("drop, message", [
+        (("side1", 0, "labels"), "side1 family 'mz' has no field 'labels'"),
+        (("side2", 1, "name"), "side2 family has no field 'name'"),
+        (("side2", 1, "operators", 0, "re"),
+         "side2 family 'mx' operator 0 has no field 're'"),
+        (("side1",), "context has no field 'side1'"),
+        (("max_len2",), "context has no field 'max_len2'"),
+    ])
+    def test_context_missing_field_is_named(self, capsys, qubit_ctx_file, drop, message):
+        bad = drop_field(qubit_ctx_file, drop)
+        code = main(["lhv-check", "--state", "singlet", "--context", bad, "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"usage error: context file {bad!r} violates the schema: {message}\n"
+        )
+
+    def test_state_file_missing_field_is_named(self, capsys, qubit_ctx_file, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(states.state_to_json(states.singlet())))
+        bad = drop_field(str(path), ("matrix", "rows"))
+        code = main(["lhv-check", "--state", f"file:{bad}",
+                     "--context", qubit_ctx_file, "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"usage error: bad state 'file:{bad}': state matrix has no field 'rows'\n"
+        )
 
     def test_unknown_flag(self, capsys):
         assert main(["thresholds", "--d", "3", "--bogus"]) == 1

@@ -1,10 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from nonloc import acceptance, feasibility, hvmodels, measurement, states
+from nonloc import acceptance, feasibility, hilbert, hvmodels, measurement, states
 from nonloc.feasibility import (
     LP_TOL,
     ChshSettings,
@@ -210,6 +214,62 @@ class TestWitnessMargin:
         assert exc.value.result.max_residual >= 100 * LP_TOL
 
 
+# Run in a fresh interpreter, so that no other test has loaded scipy yet.
+COLD_START = """
+import sys
+import nonloc
+from nonloc import feasibility, hvmodels, measurement, states
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_loaded(), scipy_loaded()
+mz = measurement.OperationFamily.ideal(measurement.pauli("z"), "mz")
+mx = measurement.OperationFamily.ideal(measurement.pauli("x"), "mx")
+ctx = hvmodels.Context((mz, mx), (mz, mx), 1, 1)
+rho = states.werner_gen(2, 0.2)
+assert hvmodels.verify_model(hvmodels.trivial_causal_model(rho, ctx), rho).passed
+feasibility.chsh_maximize(states.singlet())
+assert not scipy_loaded(), scipy_loaded()
+assert feasibility.lchv_feasibility(rho, ctx, 1).status == "feasible"
+assert "scipy.optimize" in sys.modules and "scipy.sparse" in sys.modules
+print("ok")
+"""
+
+
+class TestScipyOnFirstLp:
+    def test_import_and_models_leave_scipy_unloaded(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+        proc = subprocess.run([sys.executable, "-c", COLD_START],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
+
+    def test_function_set_before_first_lp_is_called(self, monkeypatch):
+        import scipy.optimize
+
+        names = vars(feasibility)
+        for name in ("sparse", "linprog", "nnls"):  # as before the first LP
+            monkeypatch.delitem(names, name, raising=False)
+        calls = []
+
+        def recording_linprog(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return scipy.optimize.linprog(*args, **kwargs)
+
+        monkeypatch.setitem(names, "linprog", recording_linprog)
+        res = lchv_feasibility(states.werner_gen(2, 0.2), qubit_pair_ctx(1), 1)
+        assert res.status == "feasible" and calls == ["highs"]
+        assert feasibility.linprog is recording_linprog
+        assert feasibility.nnls is scipy.optimize.nnls
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'lingrog'"):
+            feasibility.lingrog
+
+
 class TestLchvFeasibility:
     def test_product_state_feasible(self):
         res = lchv_feasibility(diag_product(0.7, 0.6), qubit_pair_ctx(1), 1)
@@ -337,6 +397,24 @@ class TestChsh:
             chsh_maximize(states.werner(3), t, t)
 
 
+def random_two_outcome(rng, d: int) -> np.ndarray:
+    """A random observable with eigenvalues +1 and -1, each at least once."""
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    plus = int(rng.integers(1, d))
+    return u @ np.diag([1.0] * plus + [-1.0] * (d - plus)) @ u.conj().T
+
+
+def trace_loop_table(rho, a_obs, b_obs) -> np.ndarray:
+    """Reference for ``correlation_table``: p[x, y, a, b] one trace at a time."""
+    projs = [[hilbert.spectral_decompose(m).projectors for m in obs]
+             for obs in (a_obs, b_obs)]
+    table = np.empty((2, 2, 2, 2))
+    for x, y, a, b in np.ndindex(2, 2, 2, 2):
+        op = hilbert.kron(projs[0][x][a], projs[1][y][b])
+        table[x, y, a, b] = float(np.real(np.trace(rho.matrix @ op)))
+    return table
+
+
 class TestBellPolytopeOracle:
     def singlet_table(self) -> np.ndarray:
         return correlation_table(
@@ -384,6 +462,19 @@ class TestBellPolytopeOracle:
             bell_polytope_oracle(bad)
         with pytest.raises(ValueError):
             bell_polytope_oracle(np.full((2, 2, 2), 0.25))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 3)])
+    def test_correlation_table_matches_trace_loop(self, dims):
+        rng = np.random.default_rng(sum(dims) * 10 + dims[0])
+        d1, d2 = dims
+        g = rng.normal(size=(d1 * d2,) * 2) + 1j * rng.normal(size=(d1 * d2,) * 2)
+        rho = states.make_density(g @ g.conj().T / np.trace(g @ g.conj().T), dims)
+        a_obs, b_obs = (
+            tuple(random_two_outcome(rng, d) for _ in range(2)) for d in dims
+        )
+        table = correlation_table(rho, a_obs, b_obs)
+        assert table.shape == (2, 2, 2, 2)
+        assert np.max(np.abs(table - trace_loop_table(rho, a_obs, b_obs))) <= 1e-12
 
     def test_correlation_table_requires_two_outcomes(self):
         with pytest.raises(ValueError):
