@@ -150,7 +150,7 @@ def _report(command: str, inputs: dict, results: dict, args, t0: float) -> dict:
 
 def _cmd_werner(args) -> tuple[dict, int]:
     d = args.d
-    c = _parse_c(args.c) if args.c is not None else Fraction(1, d * d)
+    c = _parse_c(args.c) if args.c is not None else states.lhv1_threshold(d)
     rho = states.werner_gen(d, c)
     cf = float(c)
     results = {
@@ -190,12 +190,12 @@ def _cmd_popescu(args) -> tuple[dict, int]:
     d = args.d
     rho = states.werner(d)
     if d == 2:
-        value, _ = feasibility.chsh_maximize(rho, seed=args.seed)
+        value, _ = feasibility.chsh_maximize(rho)
         weight = 2.0 * float(states.lhv1_threshold(2))
     else:
         t = np.zeros((d, d), dtype=complex)
         t[0, 0] = t[1, 1] = 1.0
-        value, _ = feasibility.chsh_maximize(rho, t, t, seed=args.seed)
+        value, _ = feasibility.chsh_maximize(rho, t, t)
         weight = d / (d + 2.0)
     results = {
         "d": d,

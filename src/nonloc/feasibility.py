@@ -9,9 +9,11 @@ two-setting/two-outcome single-time case, where positivity, no-signalling,
 and the eight facet inequalities characterize the local set exactly.
 
 CHSH utilities (``chsh_value``, ``chsh_maximize``) support designated 2-dim
-subspaces so that post-selected (collapsed) states can be probed directly,
-and ``classify_evidence`` assembles the nonlocality-index evidence a state
-admits within these finite probes.
+subspaces so that post-selected (collapsed) states can be probed directly;
+``chsh_maximize`` is the Horodecki closed form over all observables on those
+subspaces, from the SVD of the 3x3 correlation matrix.  ``classify_evidence``
+assembles the nonlocality-index evidence a state admits within these finite
+probes.
 """
 
 from __future__ import annotations
@@ -375,96 +377,44 @@ def chsh_maximize(
     rho: DensityMatrix,
     t1: np.ndarray | None = None,
     t2: np.ndarray | None = None,
-    seed: int = 0,
 ) -> tuple[float, ChshSettings]:
-    """Maximize the CHSH sum over coplanar subspace observables.
+    """Largest CHSH sum over observables on the designated 2-dim subspaces.
 
-    Each observable is cos(theta) sz + sin(theta) sx in a fixed orthonormal
-    frame of its side's designated 2-dim subspace.  A 15-degree grid over the
-    four angles seeds closed-form coordinate ascent, iterated until the
-    largest angle update is below 1e-7.  Deterministic; ``seed`` is accepted
-    for interface stability only.
+    On each side the observables are n . (sz, sx, sy) for unit vectors n,
+    with sz, sx from ``_subspace_paulis`` and sy = -i sz sx.  With T the real
+    3x3 correlation matrix of the post-selected state over the two Pauli
+    stacks and T = U S V^T, the optimum is a_i = u_i and
+    b_{1,2} = cos(th) v_1 +- sin(th) v_2 with tan(th) = s_2 / s_1, worth
+    2 sqrt(s_1^2 + s_2^2) = 2 sqrt(m_1 + m_2), m_1, m_2 the two largest
+    eigenvalues of T^T T (R., P. and M. Horodecki, Phys. Lett. A 200, 340
+    (1995)).
     """
-    del seed
     if t1 is None:
         t1 = np.eye(rho.dims.d1, dtype=complex)
     if t2 is None:
         t2 = np.eye(rho.dims.d2, dtype=complex)
     t1 = hilbert.as_complex_matrix(t1)
     t2 = hilbert.as_complex_matrix(t2)
-    sz1, sx1 = _subspace_paulis(t1)
-    sz2, sx2 = _subspace_paulis(t2)
+    paulis = []
+    for t in (t1, t2):
+        sz, sx = _subspace_paulis(t)
+        paulis.append(np.stack([sz, sx, -1j * sz @ sx]))
     rho_p = _postselect(rho, t1, t2)
-    kmat = np.empty((2, 2))
-    for i, pa in enumerate((sz1, sx1)):
-        for j, pb in enumerate((sz2, sx2)):
-            kmat[i, j] = float(
-                np.real(np.trace(rho_p.matrix @ hilbert.kron(pa, pb)))
-            )
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-    uu = np.stack([np.cos(grid), np.sin(grid)])  # (2, 24)
-    m = uu.T @ kmat @ uu
-    s_grid = (
-        m[:, None, :, None]
-        + m[:, None, None, :]
-        + m[None, :, :, None]
-        - m[None, :, None, :]
-    )
-    i1, i2, j1, j2 = np.unravel_index(int(np.argmax(s_grid)), s_grid.shape)
-    theta = [grid[i1], grid[i2], grid[j1], grid[j2]]
-
-    def unit(t: float) -> np.ndarray:
-        return np.array([np.cos(t), np.sin(t)])
-
-    def ang_dist(a: float, b: float) -> float:
-        d = abs(a - b) % (2.0 * np.pi)
-        return min(d, 2.0 * np.pi - d)
-
-    for _ in range(500):
-        biggest = 0.0
-        w = kmat @ (unit(theta[2]) + unit(theta[3]))
-        new = float(np.arctan2(w[1], w[0]))
-        biggest = max(biggest, ang_dist(new, theta[0]))
-        theta[0] = new
-        w = kmat @ (unit(theta[2]) - unit(theta[3]))
-        new = float(np.arctan2(w[1], w[0]))
-        biggest = max(biggest, ang_dist(new, theta[1]))
-        theta[1] = new
-        w = kmat.T @ (unit(theta[0]) + unit(theta[1]))
-        new = float(np.arctan2(w[1], w[0]))
-        biggest = max(biggest, ang_dist(new, theta[2]))
-        theta[2] = new
-        w = kmat.T @ (unit(theta[0]) - unit(theta[1]))
-        new = float(np.arctan2(w[1], w[0]))
-        biggest = max(biggest, ang_dist(new, theta[3]))
-        theta[3] = new
-        if biggest < 1e-7:
-            break
-
-    value = float(
-        unit(theta[0]) @ kmat @ unit(theta[2])
-        + unit(theta[0]) @ kmat @ unit(theta[3])
-        + unit(theta[1]) @ kmat @ unit(theta[2])
-        - unit(theta[1]) @ kmat @ unit(theta[3])
-    )
+    d1, d2 = rho.dims.d1, rho.dims.d2
+    corr = np.real(np.einsum(
+        "ijkl,aki,blj->ab", rho_p.matrix.reshape(d1, d2, d1, d2), *paulis
+    ))
+    u, s, vt = np.linalg.svd(corr)
+    value = 2.0 * float(np.hypot(s[0], s[1]))
     if value > TSIRELSON + 1e-6:
         raise RuntimeError(
             f"CHSH optimizer exceeded the quantum bound: {value!r}"
         )
-
-    def obs(side_z, side_x, t: float) -> np.ndarray:
-        return np.cos(t) * side_z + np.sin(t) * side_x
-
-    settings = ChshSettings(
-        obs(sz1, sx1, theta[0]),
-        obs(sz1, sx1, theta[1]),
-        obs(sz2, sx2, theta[2]),
-        obs(sz2, sx2, theta[3]),
-        t1,
-        t2,
-    )
-    return value, settings
+    th = np.arctan2(s[1], s[0])
+    rot = np.array([[np.cos(th), np.sin(th)], [np.cos(th), -np.sin(th)]])
+    a1, a2 = (u[:, :2].T @ paulis[0].reshape(3, -1)).reshape(2, d1, d1)
+    b1, b2 = (rot @ vt[:2] @ paulis[1].reshape(3, -1)).reshape(2, d2, d2)
+    return value, ChshSettings(a1, a2, b1, b2, t1, t2)
 
 
 def correlation_table(

@@ -100,23 +100,32 @@ def make_density(matrix, dims: DimPair | tuple[int, int]) -> DensityMatrix:
     return DensityMatrix(a, dp)
 
 
+def _check_local_dim(d: int) -> None:
+    if d < 2:
+        raise ParameterOutOfRange(f"local dimension {d} < 2")
+
+
 def normalization_bound(d: int) -> Fraction:
     """Largest admissible flip coefficient: positivity fails above it."""
+    _check_local_dim(d)
     return Fraction(1, d * d - d)
 
 
 def entanglement_threshold(d: int) -> Fraction:
     """The state is entangled exactly when c exceeds this value."""
+    _check_local_dim(d)
     return Fraction(1, d * (d * d - 1))
 
 
 def lhv1_threshold(d: int) -> Fraction:
     """Below or at this value a single-time local hidden-variables model exists."""
+    _check_local_dim(d)
     return Fraction(1, d * d)
 
 
 def collapse_separability_threshold(d: int) -> Fraction:
     """At or below this value the codimension-1 collapsed state is separable."""
+    _check_local_dim(d)
     return Fraction(1, d * (d * d - 1) - d * d)
 
 
@@ -128,8 +137,6 @@ class WernerParams:
     c: float | Fraction
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ParameterOutOfRange(f"local dimension {self.d} < 2")
         hi = normalization_bound(self.d)
         if isinstance(self.c, Rational):
             ok = 0 <= self.c <= hi
@@ -153,6 +160,7 @@ def werner_gen(d: int, c: float | Fraction) -> DensityMatrix:
 
 def werner(d: int) -> DensityMatrix:
     """The distinguished member c = 1/d^2, i.e. ((d+1)/d^3) I - (1/d^2) F."""
+    _check_local_dim(d)
     return werner_gen(d, Fraction(1, d * d))
 
 

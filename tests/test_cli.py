@@ -326,6 +326,17 @@ class TestErrorsAndExitCodes:
             f"usage error: bad state 'file:{bad}': state matrix has no field 'rows'\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["thresholds", "--d", "0"], ["thresholds", "--d", "1"],
+        ["thresholds", "--d", "-3"], ["werner", "--d", "0"],
+        ["werner", "--d", "1"], ["popescu", "--d", "0"],
+    ])
+    def test_local_dimension_below_two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"input error: local dimension {argv[2]} < 2\n"
+
     def test_unknown_flag(self, capsys):
         assert main(["thresholds", "--d", "3", "--bogus"]) == 1
         capsys.readouterr()

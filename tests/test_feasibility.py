@@ -397,6 +397,64 @@ class TestChsh:
             chsh_maximize(states.werner(3), t, t)
 
 
+PAULIS = (SX, np.array([[0, -1j], [1j, 0]]), SZ)
+
+
+def horodecki_value(rho: states.DensityMatrix) -> float:
+    """2 sqrt(m1 + m2) of ``rho`` post-selected on the top-left 2x2 block of
+    each side, from T[i, j] = tr(rho' s_i (x) s_j) by ``np.kron`` and traces."""
+    d = rho.dims.d1
+    block = np.zeros((d, d))
+    block[0, 0] = block[1, 1] = 1.0
+    embedded = []
+    for s in PAULIS:
+        e = np.zeros((d, d), dtype=complex)
+        e[:2, :2] = s
+        embedded.append(e)
+    pp = np.kron(block, block)
+    post = pp @ rho.matrix @ pp
+    post = post / np.real(np.trace(post))
+    t = np.array([[np.real(np.trace(post @ np.kron(a, b))) for b in embedded]
+                  for a in embedded])
+    m = np.linalg.eigvalsh(t.T @ t)
+    return 2.0 * float(np.sqrt(m[-1] + m[-2]))
+
+
+def random_complex_state(rng) -> states.DensityMatrix:
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return states.make_density(m / np.real(np.trace(m)), (2, 2))
+
+
+class TestChshClosedForm:
+    def test_complex_maximally_entangled_state_is_index_one(self):
+        # (|00> + i|11>)/sqrt(2) has no optimum among real z-x observables
+        v = np.array([1.0, 0.0, 0.0, 1.0j]) / RT2
+        rec = classify_evidence(states.make_density(np.outer(v, v.conj()), (2, 2)))
+        assert rec.n_index == "1"
+        assert rec.witness["chsh"] == pytest.approx(2.0 * RT2, abs=1e-9)
+        assert rec.witness["feasibility"]["status"] == "infeasible"
+
+    def check_closed_form(self, rho, t=None):
+        value, settings = chsh_maximize(rho, t, t)
+        assert value == pytest.approx(horodecki_value(rho), abs=1e-9)
+        assert chsh_value(rho, settings) == pytest.approx(value, abs=1e-9)
+        assert value <= 2.0 * RT2 + 1e-12
+
+    def test_random_complex_states(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            self.check_closed_form(random_complex_state(rng))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_rank2_postselected_flip_family(self, d):
+        t = np.zeros((d, d), dtype=complex)
+        t[0, 0] = t[1, 1] = 1.0
+        hi = float(states.normalization_bound(d))
+        for c in (0.0, hi / 3, float(states.lhv1_threshold(d)), hi):
+            self.check_closed_form(states.werner_gen(d, c), t)
+
+
 def random_two_outcome(rng, d: int) -> np.ndarray:
     """A random observable with eigenvalues +1 and -1, each at least once."""
     u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))

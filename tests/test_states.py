@@ -76,6 +76,13 @@ class TestThresholds:
     def test_collapse_separability_frozen(self, d, cs):
         assert collapse_separability_threshold(d) == cs
 
+    @pytest.mark.parametrize("d", [1, 0, -3])
+    def test_rejects_local_dimension_below_two(self, d):
+        for fn in (normalization_bound, entanglement_threshold,
+                   lhv1_threshold, collapse_separability_threshold, werner):
+            with pytest.raises(ParameterOutOfRange, match=f"local dimension {d} < 2"):
+                fn(d)
+
     def test_ordering(self):
         for d in range(3, 7):
             assert (entanglement_threshold(d)
