@@ -10,9 +10,10 @@ the chain rule.
 
 Constructions provided here:
 
-* ``trivial_causal_model``: conditional-probability splitting of the unit
-  interval, one atom per elementary interval breakpoint cell.  Reproduces the
-  quantum sequence distributions of any state, with no locality.
+* ``trivial_causal_model``: each step sequence's outcome probabilities, from
+  ``QuantumTables``, laid end to end as cells of the unit interval, one atom
+  per cell of their common refinement.  Reproduces the quantum sequence
+  distributions of any state, with no locality.
 * ``product_local_model``: independent per-side interval models for a product
   state (the locality base case).
 * ``mix_models``: convex combination on the tagged disjoint union.
@@ -39,14 +40,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import hilbert, measurement
 from .hilbert import DimPair
-from .measurement import OperationFamily, embed_local
+from .measurement import OperationFamily
 from .states import PROB_FLOOR, DensityMatrix, make_density
 
 ATOM_BUDGET = 10**6
@@ -474,14 +474,6 @@ def _chain_probabilities(kernels: list[dict], keys, labels: dict):
     return probs, reached, None
 
 
-def _embedded_ops(ctx: Context, dims: DimPair, key: StepKey):
-    fam = ctx.step_family(key)
-    return [
-        (lab, embed_local(op, key[0], dims))
-        for lab, op in zip(fam.labels, fam.operators)
-    ]
-
-
 def _dedupe_points(points: set[float], tol: float = 1e-12) -> list[float]:
     """Sorted breakpoints with near-coincident values merged.
 
@@ -499,63 +491,52 @@ def _dedupe_points(points: set[float], tol: float = 1e-12) -> list[float]:
     return out
 
 
+def _cell_index(lo: np.ndarray, hi: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Index of the cell [lo, hi) holding each midpoint; empty cells
+    (hi <= lo) never hold one."""
+    live = np.flatnonzero(hi > lo)
+    return live[np.searchsorted(lo[live], mids, side="right") - 1]
+
+
 def trivial_causal_model(
     rho: DensityMatrix, ctx: Context, atom_budget: int = ATOM_BUDGET
 ) -> DeterministicModel:
     """Causal (non-local) model matching the quantum sequence distributions.
 
-    The unit interval is split recursively: each admissible step sequence
-    partitions [0, 1] into cells whose lengths are the joint outcome
-    probabilities, refining the partitions of its prefixes.  Atoms are the
-    elementary intervals of the common refinement, so every sequence random
-    variable is constant on each atom and all distributions are reproduced by
-    construction.
+    Each admissible step sequence partitions [0, 1] into cells, one per
+    outcome string in label-product order, whose lengths are the joint
+    outcome probabilities (``QuantumTables``) laid end to end.  A string's
+    cell then lies inside its prefix's, so every partition refines those of
+    the sequence's prefixes.  Atoms are the elementary intervals of the
+    common refinement, so every sequence random variable is constant on each
+    atom and all distributions are reproduced by construction.
+
+    ``atom_budget`` bounds the atoms and the work: each step sequence counts
+    its last step's outcomes once per string of its prefix with probability
+    above ``PROB_FLOOR``.
     """
     if ctx.dims != rho.dims:
         raise ValueError(f"context dims {ctx.dims} do not match state {rho.dims}")
-    dims = rho.dims
-    op_cache: dict[StepKey, list] = {}
-    # cells[path] = list of (lo, hi, outcomes, unnormalized state); hi - lo is
-    # the joint probability of (path, outcomes).
-    cells: dict[tuple[StepKey, ...], list] = {
-        (): [(0.0, 1.0, (), rho.matrix)]
-    }
+    quantum = QuantumTables(rho, ctx)
+    labels = _step_labels(ctx)
     paths = list(ctx.interleaved_sequences())
+    # cells[path] = (lo, hi) over its outcome strings; hi - lo is the joint
+    # probability of (path, outcomes).
+    cells: dict[tuple[StepKey, ...], tuple] = {(): (np.zeros(1), np.ones(1))}
     work = 0
     for path in paths:
-        parent = cells[path[:-1]]
-        key = path[-1]
-        if key not in op_cache:
-            op_cache[key] = _embedded_ops(ctx, dims, key)
-        ops = op_cache[key]
-        children = []
-        for lo, hi, outs, sigma in parent:
-            if hi <= lo:
-                continue
-            cursor = lo
-            branch = []
-            total = 0.0
-            for lab, r in ops:
-                child = r @ sigma @ r.conj().T
-                p = max(float(np.real(np.trace(child))), 0.0)
-                branch.append((lab, child, p))
-                total += p
-            for i, (lab, child, p) in enumerate(branch):
-                nxt = hi if i == len(branch) - 1 else cursor + p
-                children.append((cursor, nxt, outs + (lab,), child))
-                cursor = nxt
-            work += len(branch)
-            if work > atom_budget:
-                raise BudgetExceededError(
-                    f"interval construction exceeded atom budget {atom_budget}"
-                )
-        cells[path] = children
-    breakpoints = {0.0, 1.0}
-    for path in paths:
-        for lo, hi, _, _ in cells[path]:
-            breakpoints.add(lo)
-            breakpoints.add(hi)
-    points = _dedupe_points(breakpoints)
+        lo, hi = cells[path[:-1]]
+        work += len(labels[path[-1]]) * int(np.count_nonzero(hi - lo > PROB_FLOOR))
+        if work > atom_budget:
+            raise BudgetExceededError(
+                f"interval construction exceeded atom budget {atom_budget}"
+            )
+        p = np.maximum(quantum.interleaved(path), 0.0)
+        hi = np.cumsum(p)
+        cells[path] = (hi - p, hi)
+    points = _dedupe_points(
+        set(np.concatenate([b for lo_hi in cells.values() for b in lo_hi]).tolist())
+    )
     atom_bounds = [
         (a, b) for a, b in zip(points, points[1:]) if b > a
     ]
@@ -564,21 +545,33 @@ def trivial_causal_model(
             f"{len(atom_bounds)} atoms exceed atom budget {atom_budget}"
         )
     atoms = tuple(f"a{i}" for i in range(len(atom_bounds)))
-    weights = np.array([b - a for a, b in atom_bounds], dtype=float)
-    mids = [(a + b) / 2.0 for a, b in atom_bounds]
-    responses: dict[str, dict] = {a: {} for a in atoms}
+    bounds = np.array(atom_bounds)
+    weights = bounds[:, 1] - bounds[:, 0]
+    mids = bounds.mean(axis=1)
+    columns = []
     for path in paths:
-        cell_list = [c for c in cells[path] if c[1] > c[0]]
-        los = [c[0] for c in cell_list]
-        for atom, mid in zip(atoms, mids):
-            idx = bisect_right(los, mid) - 1
-            responses[atom][path] = cell_list[idx][2]
+        lo, hi = cells[path]
+        strings = np.fromiter(
+            itertools.product(*(labels[s] for s in path)), dtype=object, count=lo.size
+        )
+        columns.append(strings[_cell_index(lo, hi, mids)].tolist())
+    rows = zip(*columns) if paths else [()] * len(atoms)
+    responses = {atom: dict(zip(paths, row)) for atom, row in zip(atoms, rows)}
     space = FiniteSampleSpace(atoms, weights, intervals=tuple(atom_bounds))
     return DeterministicModel(space, "causal", ctx, responses)
 
 
 def _single_side_context(families: tuple[OperationFamily, ...], max_len: int) -> Context:
     return Context(families, (), max_len, 0)
+
+
+def _own_side_trees(m: DeterministicModel) -> list[dict]:
+    """Each atom's tree of a causal model on a single-side context, keyed by
+    choice sequences instead of step paths."""
+    return [
+        {tuple(n for _, n in path): outs for path, outs in m.responses[a].items()}
+        for a in m.space.atoms
+    ]
 
 
 def product_local_model(
@@ -608,16 +601,9 @@ def product_local_model(
     responses = {}
     if len(m1.space) * len(m2.space) > atom_budget:
         raise BudgetExceededError("product space exceeds atom budget")
-    for a1, w1 in zip(m1.space.atoms, m1.space.weights):
-        tree1 = {
-            tuple(n for _, n in path): outs
-            for path, outs in m1.responses[a1].items()
-        }
-        for a2, w2 in zip(m2.space.atoms, m2.space.weights):
-            tree2 = {
-                tuple(n for _, n in path): outs
-                for path, outs in m2.responses[a2].items()
-            }
+    trees2 = _own_side_trees(m2)
+    for a1, w1, tree1 in zip(m1.space.atoms, m1.space.weights, _own_side_trees(m1)):
+        for a2, w2, tree2 in zip(m2.space.atoms, m2.space.weights, trees2):
             atom = f"{a1}*{a2}"
             atoms.append(atom)
             weights.append(float(w1) * float(w2))
@@ -774,23 +760,15 @@ def _interval_family_models(
     points = _dedupe_points(breakpoints)
     bounds = [(a, b) for a, b in zip(points, points[1:]) if b > a]
     weights = [b - a for a, b in bounds]
+    mids = np.array([(a + b) / 2.0 for a, b in bounds])
     trees: dict[tuple[str, str], list[dict]] = {}
     for key, sub in per_state.items():
-        per_atom = []
-        for lo, hi in bounds:
-            mid = (lo + hi) / 2.0
-            if sub is None:
-                per_atom.append({})
-                continue
-            los = [iv[0] for iv in sub.space.intervals]
-            idx = bisect_right(los, mid) - 1
-            atom = sub.space.atoms[idx]
-            tree = {
-                tuple(n for _, n in path): outs
-                for path, outs in sub.responses[atom].items()
-            }
-            per_atom.append(tree)
-        trees[key] = per_atom
+        if sub is None:
+            trees[key] = [{} for _ in bounds]
+            continue
+        lo, hi = np.array(sub.space.intervals).T
+        sub_trees = _own_side_trees(sub)
+        trees[key] = [sub_trees[i] for i in _cell_index(lo, hi, mids).tolist()]
     return weights, trees
 
 
@@ -856,10 +834,10 @@ def couple_lchv_d2(
     weights = []
     responses = {}
     for atom_w, ww in zip(lhv1.space.atoms, lhv1.space.weights):
+        t2s = [side_tree(atom_w, 2, trees2, i2) for i2 in range(len(w2))]
         for i1, p1 in enumerate(w1):
             t1 = side_tree(atom_w, 1, trees1, i1)
-            for i2, p2 in enumerate(w2):
-                t2 = side_tree(atom_w, 2, trees2, i2)
+            for i2, (p2, t2) in enumerate(zip(w2, t2s)):
                 atom = f"{atom_w}|{i1}|{i2}"
                 atoms.append(atom)
                 weights.append(float(ww) * p1 * p2)

@@ -269,13 +269,6 @@ def sequence_distribution(
     return {path: float(np.real(np.trace(sigma))) for path, sigma in branches}
 
 
-def povm_from_operations(fam: OperationFamily) -> Povm:
-    """The POV measure {R^dagger R} induced by an operation family."""
-    effects = tuple(r.conj().T @ r for r in fam.operators)
-    kind = "ideal" if fam.kind == "ideal" else "general"
-    return Povm(fam.labels, effects, kind=kind)
-
-
 @dataclass(frozen=True, eq=False)
 class CommutingDecomposition:
     """Joint spectral form of a commuting POVM: rank-1 projectors P_j and a

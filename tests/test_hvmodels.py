@@ -229,6 +229,26 @@ class TestCoupling:
         assert rep.passed, rep.summary()
         assert rep.max_deviation < 1e-10
 
+    def test_atoms_and_weights_pinned(self):
+        """Atoms are (first-step atom, side-1 follow-up atom, side-2
+        follow-up atom) in nested order, weighted by the product."""
+        mt = OperationFamily.ideal(
+            measurement.Observable.from_matrix(0.6 * SZ + 0.8 * SX, "mt"), "mt"
+        )
+        rho1 = np.diag([0.7, 0.3]).astype(complex)
+        rho2 = np.diag([1.0, 0.0]).astype(complex)
+        lhv1 = product_local_model(rho1, rho2, Context((MZ, mt), (MZ, mt), 1, 1))
+        coupled = couple_lchv_d2(lhv1, Context((MZ, mt), (MZ, mt), 2, 2))
+        first = {"a0*a0": 0.496, "a0*a1": 0.124, "a1*a0": 0.064,
+                 "a1*a1": 0.016, "a2*a0": 0.24, "a2*a1": 0.06}
+        follow = (0.2, 0.6, 0.2)  # cos^2 = 0.8 and 0.2 between the eigenbases
+        keys = [(a, i1, i2) for a in first for i1 in range(3) for i2 in range(3)]
+        assert coupled.space.atoms == tuple(f"{a}|{i1}|{i2}" for a, i1, i2 in keys)
+        want = [first[a] * follow[i1] * follow[i2] for a, i1, i2 in keys]
+        assert np.max(np.abs(coupled.space.weights - want)) < 1e-12
+        rep = verify_model(coupled, states.make_density(np.kron(rho1, rho2), (2, 2)))
+        assert rep.passed, rep.summary()
+
     def test_requires_local_shape(self):
         m = trivial_causal_model(states.singlet(), qubit_pair_ctx(1))
         with pytest.raises(ValueError):
@@ -730,3 +750,102 @@ def test_model_distributions_normalized(seed):
         assert sum(m.distribution_interleaved(path).values()) == pytest.approx(
             1.0, abs=1e-12
         )
+
+
+def reference_interval_model(rho: states.DensityMatrix, ctx: Context):
+    """The interval construction as a recursion over post-measurement states.
+
+    Every cell of a step path carries its unnormalized state sigma; each
+    operation R of the next step splits it into children of length
+    tr(R sigma R^dagger), laid out from the cell's left end with the last
+    child ending at the cell's right end.  Empty cells are not split.
+    ``work`` counts the children of each cell longer than ``PROB_FLOOR``;
+    ``trivial_causal_model`` raises BudgetExceededError exactly when
+    max(work, atoms) exceeds its budget.  Shorter cells are float slivers
+    where the last-child rule meets rounding, and no other layout of the same
+    lengths reproduces them.  Returns (atoms, weights, responses, work).
+    """
+    cells = {(): [(0.0, 1.0, (), rho.matrix)]}
+    paths = list(ctx.interleaved_sequences())
+    work = 0
+    for path in paths:
+        fam = ctx.step_family(path[-1])
+        ops = [measurement.embed_local(r, path[-1][0], rho.dims) for r in fam.operators]
+        children = []
+        for lo, hi, outs, sigma in cells[path[:-1]]:
+            if hi <= lo:
+                continue
+            cursor = lo
+            for i, (lab, r) in enumerate(zip(fam.labels, ops)):
+                child = r @ sigma @ r.conj().T
+                p = max(float(np.real(np.trace(child))), 0.0)
+                nxt = hi if i == len(ops) - 1 else cursor + p
+                children.append((cursor, nxt, outs + (lab,), child))
+                cursor = nxt
+            if hi - lo > states.PROB_FLOOR:
+                work += len(ops)
+        cells[path] = children
+    breakpoints = {0.0, 1.0}
+    for path in paths:
+        for lo, hi, _, _ in cells[path]:
+            breakpoints.update((lo, hi))
+    points = hvmodels._dedupe_points(breakpoints)
+    bounds = [(a, b) for a, b in zip(points, points[1:]) if b > a]
+    atoms = tuple(f"a{i}" for i in range(len(bounds)))
+    responses = {a: {} for a in atoms}
+    for path in paths:
+        live = [c for c in cells[path] if c[1] > c[0]]
+        for atom, (a, b) in zip(atoms, bounds):
+            mid = (a + b) / 2.0
+            responses[atom][path] = next(c for c in reversed(live) if c[0] <= mid)[2]
+    return atoms, np.array([b - a for a, b in bounds]), responses, work
+
+
+def diagonal_family(d: int, name: str) -> OperationFamily:
+    obs = measurement.Observable.from_matrix(
+        np.diag(np.arange(d, dtype=float)).astype(complex), name
+    )
+    return OperationFamily.ideal(obs, name)
+
+
+@st.composite
+def interval_cases(draw):
+    """(state, context) on 2x2 or 2x3 at L = 1 or 2.  Pure states are random
+    vectors or product basis states; each side measures its basis, so
+    repeated and basis-state measurements give zero-probability branches.
+    Two families a side at L = 2 on 2x3 make up to about 2000 atoms and a
+    second of reference work, so that case keeps only the random family on
+    the qutrit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**30)))
+    d2 = draw(st.sampled_from([2, 3]))
+    length = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["mixed", "pure", "basis"]))
+    if kind == "mixed":
+        rho = random_density(rng, 2, d2)
+    else:
+        v = np.zeros(2 * d2, dtype=complex)
+        if kind == "basis":
+            v[rng.integers(2 * d2)] = 1.0
+        else:
+            v = rng.normal(size=2 * d2) + 1j * rng.normal(size=2 * d2)
+        rho = states.make_density(np.outer(v, v.conj()) / np.vdot(v, v).real, (2, d2))
+    side1 = (diagonal_family(2, "z"), random_families(rng, 2, "a")[draw(st.integers(0, 1))])
+    side2 = (diagonal_family(d2, "z"), random_families(rng, d2, "b")[draw(st.integers(0, 1))])
+    if d2 == 3 and length == 2:
+        side2 = side2[1:]
+    return rho, Context(side1, side2, length, length)
+
+
+@settings(max_examples=25, deadline=None)
+@given(interval_cases())
+def test_trivial_model_matches_recursive_reference(case):
+    rho, ctx = case
+    atoms, weights, responses, work = reference_interval_model(rho, ctx)
+    m = trivial_causal_model(rho, ctx)
+    assert m.space.atoms == atoms
+    assert m.responses == responses
+    assert np.max(np.abs(m.space.weights - weights)) < 1e-12
+    budget = max(work, len(atoms))
+    with pytest.raises(BudgetExceededError):
+        trivial_causal_model(rho, ctx, atom_budget=budget - 1)
+    assert len(trivial_causal_model(rho, ctx, atom_budget=budget).space) == len(atoms)
