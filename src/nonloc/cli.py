@@ -140,7 +140,6 @@ def _report(command: str, inputs: dict, results: dict, args, t0: float) -> dict:
             "tol": args.tol,
             "lp_tol": feasibility.LP_TOL,
         },
-        "seed": args.seed,
         "wall_time": time.time() - t0,
     }
 
@@ -360,7 +359,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="model verification tolerance")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--atom-budget", type=int, default=hvmodels.ATOM_BUDGET)
     parser.add_argument("--strategy-budget", type=int,
                         default=feasibility.STRATEGY_BUDGET)

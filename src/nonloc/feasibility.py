@@ -80,31 +80,23 @@ class LpNumericalFailure(RuntimeError):
         super().__init__(message)
 
 
-def _realized_side_trees(families: tuple[OperationFamily, ...], k: int, budget: int):
-    """Realized response trees (distribution-distinct strategies) of one side.
+def _strategies(lp_ctx: Context, side: int, budget: int) -> list[dict]:
+    """One side's deterministic strategies: its realized response trees.
 
-    Unlike full trees, these assign outcomes only along self-consistent
-    pasts; two full trees with the same realized tree are indistinguishable
-    in every sequence distribution, so the feasibility LP works on these.
+    These are the realized trees of the kernel that gives every outcome
+    weight 1 (``hvmodels._realized_trees``), in label order.  Unlike full
+    trees they assign outcomes only along self-consistent pasts; two full
+    trees with the same realized tree are indistinguishable in every
+    sequence distribution, so the feasibility LP works on these.
     """
-    by_name = {f.name: f for f in families}
-    names = tuple(by_name)
-    partial: list[dict[tuple[str, ...], tuple[str, ...]]] = [{}]
-    for depth in range(1, k + 1):
-        for choices in itertools.product(names, repeat=depth):
-            new = []
-            for tree in partial:
-                past = tree[choices[:-1]] if depth > 1 else ()
-                for outcome in by_name[choices[-1]].labels:
-                    t = dict(tree)
-                    t[choices] = past + (outcome,)
-                    new.append(t)
-            partial = new
-            if len(partial) > budget:
-                raise BudgetExceededError(
-                    f"realized strategies exceed budget {budget}"
-                )
-    return partial
+    labels = lp_ctx.labels(side)
+    seqs = lp_ctx.choice_sequences(side)[1:]
+    uniform = {
+        (choices, past): dict.fromkeys(labels[choices[-1]], 1)
+        for choices in seqs
+        for past in itertools.product(*(labels[n] for n in choices[:-1]))
+    }
+    return [tree for tree, _ in hvmodels._realized_trees(seqs, uniform, budget)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +127,15 @@ def _phase1_system(
 ) -> tuple[sparse.csc_array, np.ndarray]:
     """Equality constraints [kron(S1, S2) | I | -I] x = b of the phase-1 LP.
 
-    Rows are the outcome strings of every collected sequence, in the order of
-    ``sequence_distribution``; ``b`` holds their probabilities, from
-    ``hvmodels.QuantumTables``.  Columns are the strategy pairs (t1, t2) at
-    t1 * n2 + t2, then the two slack blocks.  A pair's column holds exactly
-    one 1 per sequence, at the row of the outcome string its two trees give,
-    so all row indices come from one broadcast of the per-side outcome
-    indices.  This is the LP's first use of scipy, so it calls ``_load_scipy``.
+    Rows are the outcome strings of every collected sequence, each in
+    label-product order with the first step most significant (the order of
+    ``measurement.sequence_distribution``); ``b`` holds their
+    probabilities, from ``hvmodels.QuantumTables``.  Columns are the
+    strategy pairs (t1, t2) at t1 * n2 + t2, then the two slack blocks.  A
+    pair's column holds exactly one 1 per sequence, at the row of the
+    outcome string its two trees give, so all row indices come from one
+    broadcast of the per-side outcome indices.  This is the LP's first use
+    of scipy, so it calls ``_load_scipy``.
     """
     _load_scipy()
     quantum = hvmodels.QuantumTables(rho, lp_ctx)
@@ -215,8 +209,7 @@ def lchv_feasibility(
             f"no sequence to decide: k={k} and the context caps allow no step"
         )
     lp_ctx = Context(ctx.side1, ctx.side2, k1, k2)
-    trees1 = _realized_side_trees(ctx.side1, k1, strategy_budget)
-    trees2 = _realized_side_trees(ctx.side2, k2, strategy_budget)
+    trees1, trees2 = (_strategies(lp_ctx, side, strategy_budget) for side in (1, 2))
     n1, n2 = len(trees1), len(trees2)
     if n1 * n2 > strategy_budget:
         raise BudgetExceededError(
@@ -266,8 +259,8 @@ def lchv_feasibility(
             certificate.append(
                 {
                     "weight": float(weights[rank]),
-                    "side1": hvmodels._side_tree_to_json(trees1[i1]),
-                    "side2": hvmodels._side_tree_to_json(trees2[i2]),
+                    "side1": hvmodels._tree_to_json(trees1[i1], str),
+                    "side2": hvmodels._tree_to_json(trees2[i2], str),
                 }
             )
         space = FiniteSampleSpace(tuple(atoms), np.asarray(weights))

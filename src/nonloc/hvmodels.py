@@ -677,40 +677,30 @@ def collapse_model(
     ctx = m.context
     ctx.family(side, name)  # raises KeyError if absent
     new_ctx = _decrement_bound(ctx, side)
-    kept = []
-    for atom, w in zip(m.space.atoms, m.space.weights):
-        if m.shape == "causal":
-            realized = m.responses[atom][((side, name),)][0]
-        else:
-            realized = m.responses[atom][side][(name,)][0]
-        if realized == outcome:
-            kept.append((atom, float(w)))
-    total = sum(w for _, w in kept)
+    # the tree the first step answers in, and that step as its key head
+    causal = m.shape == "causal"
+    head = (side, name) if causal else name
+    trees = m._trees(None if causal else side)
+    kept = [
+        (atom, float(w), tree)
+        for atom, w, tree in zip(m.space.atoms, m.space.weights, trees)
+        if tree[(head,)][0] == outcome
+    ]
+    total = sum(w for _, w, _ in kept)
     if total <= PROB_FLOOR:
         raise ZeroProbabilityBranch(
             f"outcome {outcome!r} of {name!r} has probability {total:.3e}"
         )
-    atoms = tuple(a for a, _ in kept)
-    weights = np.array([w / total for _, w in kept])
     responses = {}
-    for atom in atoms:
-        if m.shape == "causal":
-            old = m.responses[atom]
-            new_tree = {}
-            for path, outs in old.items():
-                if path and path[0] == (side, name):
-                    new_tree[path[1:]] = outs[1:]
-            new_tree.pop((), None)
-            responses[atom] = new_tree
-        else:
-            old = m.responses[atom]
-            shifted = {}
-            for choices, outs in old[side].items():
-                if choices and choices[0] == name:
-                    if len(choices) > 1:
-                        shifted[choices[1:]] = outs[1:]
-            other = 2 if side == 1 else 1
-            responses[atom] = {side: shifted, other: old[other]}
+    for atom, _, tree in kept:
+        shifted = {
+            key[1:]: outs[1:]
+            for key, outs in tree.items()
+            if len(key) > 1 and key[0] == head
+        }
+        responses[atom] = shifted if causal else {**m.responses[atom], side: shifted}
+    atoms = tuple(a for a, _, _ in kept)
+    weights = np.array([w / total for _, w, _ in kept])
     space = FiniteSampleSpace(atoms, weights)
     return DeterministicModel(space, m.shape, new_ctx, responses)
 
@@ -864,31 +854,34 @@ def deterministic_to_stochastic(m: DeterministicModel) -> StochasticModel:
     return StochasticModel(m.space, m.context, kernels)
 
 
-def _enumerate_realized_trees(kernels_side: dict, seqs, atom_budget: int):
-    """All positive-probability deterministic response trees of one side.
+def _realized_trees(seqs, kernels: dict, budget: int) -> list[tuple[dict, float]]:
+    """Every realized response tree of one side with its weight.
 
-    Mutually exclusive branches are never instantiated together: a tree only
-    assigns outcomes along its own realized pasts, and its weight is the
-    product of the kernel probabilities actually consumed.  Summing the
-    weights over all trees telescopes to 1.  ``seqs`` are the side's
-    non-empty choice sequences, each after its prefixes.
+    ``seqs`` are the side's non-empty choice sequences, each after its
+    prefixes; ``kernels`` maps each reachable node (choices, past) to its
+    outcome distribution {outcome: p}.  A tree assigns outcomes only along
+    its own realized pasts, so mutually exclusive branches are never
+    instantiated together, and its weight is the product of the kernel
+    probabilities it consumed; outcomes of probability zero start no tree.
+    Trees come in lexicographic order of their responses to ``seqs``, each
+    response in its distribution's order.  Raises ``BudgetExceededError``
+    when there are more than ``budget`` trees.
     """
     partial: list[tuple[dict, float]] = [({}, 1.0)]
     for choices in seqs:
         new = []
         for tree, weight in partial:
             past = tree[choices[:-1]] if len(choices) > 1 else ()
-            dist = kernels_side[(choices, past)]
-            for out, p in dist.items():
+            for out, p in kernels[(choices, past)].items():
                 if p <= 0.0:
                     continue
                 t = dict(tree)
                 t[choices] = past + (out,)
                 new.append((t, weight * p))
         partial = new
-        if len(partial) > atom_budget:
+        if len(partial) > budget:
             raise BudgetExceededError(
-                f"realized response trees exceed atom budget {atom_budget}"
+                f"realized response trees exceed budget {budget}"
             )
     return partial
 
@@ -913,9 +906,9 @@ def stochastic_to_deterministic(
         if float(w) == 0.0:
             continue
         trees1, trees2 = (
-            _enumerate_realized_trees(
-                s.kernels[atom].get(side, {}),
+            _realized_trees(
                 ctx.choice_sequences(side)[1:],
+                s.kernels[atom].get(side, {}),
                 atom_budget,
             )
             for side in (1, 2)
@@ -1053,8 +1046,9 @@ class QuantumTables:
     ``_effect_stacks``), as an (n1 x n2) array.  Side-1 and side-2 operations
     commute, so an interleaved path's table is the collected table of its
     per-side choices with the outcomes re-ordered to the path's time order.
-    Outcome strings are in label-product order, as ``sequence_distribution``
-    lists them.
+    Outcome strings are in label-product order, first step most significant,
+    as the Kraus-product reference ``measurement.sequence_distribution`` of
+    the path's (side, family) steps lists them.
     """
 
     def __init__(self, rho: DensityMatrix, ctx: Context):
@@ -1185,48 +1179,49 @@ def context_from_json(obj: dict) -> Context:
     )
 
 
-def _causal_tree_to_json(tree: dict) -> dict:
-    out = {}
-    for path, outs in tree.items():
-        segs = []
-        for (side, name), o in zip(path, outs):
-            segs.append(f"{side}:{name}")
-            segs.append(o)
-        out["/".join(segs[:-1])] = outs[-1]
-    return out
+def _node_key(names, past) -> str:
+    """Key ``n1/o1/.../nk`` of the node where choice ``nk`` follows choices
+    ``n1 .. n(k-1)`` answered ``o1 .. o(k-1)``.
+
+    A kernel node (choices, past) and the last response of a tree entry
+    (names, outs) with ``past = outs[:-1]`` share it.
+    """
+    segs = [""] * (2 * len(names) - 1)
+    segs[0::2], segs[1::2] = names, past
+    return "/".join(segs)
 
 
-def _causal_tree_from_json(obj: dict) -> dict:
-    flat = {}
+def _node_from_key(key: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(names, past) of a ``_node_key`` key."""
+    segs = key.split("/")
+    return tuple(segs[0::2]), tuple(segs[1::2])
+
+
+def _step_segment(step: StepKey) -> str:
+    return f"{step[0]}:{step[1]}"
+
+
+def _segment_step(seg: str) -> StepKey:
+    side, name = seg.split(":", 1)
+    return int(side), name
+
+
+def _tree_to_json(tree: dict, segment) -> dict:
+    """A response tree as {node key: last outcome}; ``segment`` writes one
+    element of a tree key (a family name, or a causal step) as a name."""
+    return {
+        _node_key([segment(x) for x in key], outs[:-1]): outs[-1]
+        for key, outs in tree.items()
+    }
+
+
+def _tree_from_json(obj: dict, step) -> dict:
+    """Inverse of ``_tree_to_json``, with ``step`` reading a name back."""
+    tree = {}
     for key, last in obj.items():
-        segs = key.split("/")
-        path = tuple(
-            (int(s.split(":", 1)[0]), s.split(":", 1)[1]) for s in segs[0::2]
-        )
-        outs = tuple(segs[1::2]) + (last,)
-        flat[path] = outs
-    return flat
-
-
-def _side_tree_to_json(tree: dict) -> dict:
-    out = {}
-    for choices, outs in tree.items():
-        segs = []
-        for name, o in zip(choices, outs):
-            segs.append(name)
-            segs.append(o)
-        out["/".join(segs[:-1])] = outs[-1]
-    return out
-
-
-def _side_tree_from_json(obj: dict) -> dict:
-    flat = {}
-    for key, last in obj.items():
-        segs = key.split("/")
-        choices = tuple(segs[0::2])
-        outs = tuple(segs[1::2]) + (last,)
-        flat[choices] = outs
-    return flat
+        names, past = _node_from_key(key)
+        tree[tuple(map(step, names))] = past + (last,)
+    return tree
 
 
 def model_to_json(m) -> dict:
@@ -1238,25 +1233,19 @@ def model_to_json(m) -> dict:
     }
     if m.shape == "causal":
         base["responses"] = {
-            atom: _causal_tree_to_json(tree) for atom, tree in m.responses.items()
+            atom: _tree_to_json(tree, _step_segment)
+            for atom, tree in m.responses.items()
         }
     elif m.shape == "local_causal":
         base["responses"] = {
-            atom: {
-                "side1": _side_tree_to_json(trees[1]),
-                "side2": _side_tree_to_json(trees[2]),
-            }
+            atom: {f"side{side}": _tree_to_json(trees[side], str) for side in (1, 2)}
             for atom, trees in m.responses.items()
         }
     else:
         base["kernels"] = {
             atom: {
                 f"side{side}": {
-                    "/".join(
-                        seg
-                        for c, o in itertools.zip_longest(choices, past)
-                        for seg in ((c,) if o is None else (c, o))
-                    ): dict(dist)
+                    _node_key(choices, past): dict(dist)
                     for (choices, past), dist in m.kernels[atom][side].items()
                 }
                 for side in (1, 2)
@@ -1274,33 +1263,26 @@ def model_from_json(obj: dict):
     shape = obj["shape"]
     if shape == "causal":
         responses = {
-            atom: _causal_tree_from_json(tree)
+            atom: _tree_from_json(tree, _segment_step)
             for atom, tree in obj["responses"].items()
         }
         return DeterministicModel(space, "causal", ctx, responses)
     if shape == "local_causal":
         responses = {
-            atom: {
-                1: _side_tree_from_json(trees["side1"]),
-                2: _side_tree_from_json(trees["side2"]),
-            }
+            atom: {side: _tree_from_json(trees[f"side{side}"], str) for side in (1, 2)}
             for atom, trees in obj["responses"].items()
         }
         return DeterministicModel(space, "local_causal", ctx, responses)
     if shape == "stochastic":
-        kernels = {}
-        for atom, sides in obj["kernels"].items():
-            per_side = {}
-            for side in (1, 2):
-                entries = {}
-                for key, dist in sides[f"side{side}"].items():
-                    segs = key.split("/")
-                    choices = tuple(segs[0::2])
-                    past = tuple(segs[1::2])
-                    entries[(choices, past)] = {
-                        k: float(v) for k, v in dist.items()
-                    }
-                per_side[side] = entries
-            kernels[atom] = per_side
+        kernels = {
+            atom: {
+                side: {
+                    _node_from_key(key): {k: float(v) for k, v in dist.items()}
+                    for key, dist in sides[f"side{side}"].items()
+                }
+                for side in (1, 2)
+            }
+            for atom, sides in obj["kernels"].items()
+        }
         return StochasticModel(space, ctx, kernels)
     raise ValueError(f"unknown model shape {shape!r}")

@@ -177,19 +177,6 @@ class OperationFamily:
         return cls(name, povm.labels, tuple(roots), kind="general")
 
 
-@dataclass(frozen=True)
-class MeasurementStep:
-    """One measurement in a sequence; side 1/2 is local, side 0 acts globally."""
-
-    side: int
-    family: OperationFamily
-    time_index: int
-
-    def __post_init__(self) -> None:
-        if self.side not in (0, 1, 2):
-            raise ValueError("side must be 0 (global), 1, or 2")
-
-
 def embed_local(op, side: int, dims: DimPair | tuple[int, int]) -> np.ndarray:
     """Lift a one-side operator to the joint space (identity on the other side)."""
     dp = as_dim_pair(dims)
@@ -202,64 +189,24 @@ def embed_local(op, side: int, dims: DimPair | tuple[int, int]) -> np.ndarray:
         if a.shape != (dp.d2, dp.d2):
             raise ValueError(f"side-2 operator shape {a.shape}, expected {dp.d2}")
         return hilbert.kron(np.eye(dp.d1, dtype=complex), a)
-    if side == 0:
-        if a.shape != (dp.total, dp.total):
-            raise ValueError(f"global operator shape {a.shape}, expected {dp.total}")
-        return a
-    raise ValueError("side must be 0, 1, or 2")
-
-
-@dataclass(frozen=True)
-class MeasurementSequence:
-    """Time-ordered steps; equal time indices demand commuting embedded steps."""
-
-    steps: tuple[MeasurementStep, ...]
-    dims: DimPair
-
-    def __post_init__(self) -> None:
-        times = [s.time_index for s in self.steps]
-        if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("time indices must be non-decreasing")
-        for s1, s2 in zip(self.steps, self.steps[1:]):
-            if s1.time_index == s2.time_index:
-                for r1 in s1.family.operators:
-                    e1 = embed_local(r1, s1.side, self.dims)
-                    for r2 in s2.family.operators:
-                        e2 = embed_local(r2, s2.side, self.dims)
-                        comm = float(np.max(np.abs(e1 @ e2 - e2 @ e1)))
-                        if comm > COMMUTATOR_TOL:
-                            raise ValueError(
-                                "equal time indices require commuting steps "
-                                f"(commutator {comm:.3e})"
-                            )
-
-
-def local_sequence(
-    dims: DimPair | tuple[int, int], steps: list[tuple[int, OperationFamily]]
-) -> MeasurementSequence:
-    """Convenience builder assigning consecutive time indices."""
-    dp = as_dim_pair(dims)
-    built = tuple(
-        MeasurementStep(side, fam, t) for t, (side, fam) in enumerate(steps)
-    )
-    return MeasurementSequence(built, dp)
+    raise ValueError("side must be 1 or 2")
 
 
 def sequence_distribution(
-    rho: DensityMatrix, seq: MeasurementSequence
+    rho: DensityMatrix, steps: list[tuple[int, OperationFamily]]
 ) -> dict[tuple[str, ...], float]:
-    """Joint outcome table of a measurement sequence.
+    """Joint outcome table of a time-ordered sequence of (side, family) steps.
 
-    Returns every outcome tuple (in family label order per step) with its
-    probability tr(R_n ... R_1 rho R_1^dagger ... R_n^dagger).
+    Returns every outcome tuple (in family label order per step, first step
+    most significant) with its probability
+    tr(R_n ... R_1 rho R_1^dagger ... R_n^dagger), from direct Kraus
+    products on the joint space: the reference for faster table engines.
     """
-    if seq.dims != rho.dims:
-        raise ValueError("sequence dims do not match state dims")
     branches: list[tuple[tuple[str, ...], np.ndarray]] = [((), rho.matrix)]
-    for step in seq.steps:
+    for side, fam in steps:
         embedded = [
-            (lab, embed_local(op, step.side, rho.dims))
-            for lab, op in zip(step.family.labels, step.family.operators)
+            (lab, embed_local(op, side, rho.dims))
+            for lab, op in zip(fam.labels, fam.operators)
         ]
         branches = [
             (path + (lab,), r @ sigma @ r.conj().T)

@@ -360,7 +360,7 @@ class TestReportShape:
         code2, rep2 = run(capsys, ["thresholds", "--d", "4"])
         assert code1 == code2 == 0
         assert set(rep1) == {
-            "command", "inputs", "results", "tolerances", "seed", "wall_time"
+            "command", "inputs", "results", "tolerances", "wall_time"
         }
         rep1.pop("wall_time")
         rep2.pop("wall_time")

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -14,8 +15,8 @@ from nonloc.feasibility import (
     ChshSettings,
     LpNumericalFailure,
     _phase1_system,
-    _realized_side_trees,
     _row_labels,
+    _strategies,
     bell_polytope_oracle,
     chsh_maximize,
     chsh_value,
@@ -71,8 +72,33 @@ def diag_product(p1: float, p2: float) -> states.DensityMatrix:
     return states.make_density(np.kron(a, b), (2, 2))
 
 
+def side_trees(families, k: int, budget: int = 10**6) -> list[dict]:
+    """The LP's strategies for ``families`` on side 1 with cap ``k``."""
+    return _strategies(Context(families, (), k, 0), 1, budget)
+
+
 def n_trees(families, k: int) -> int:
-    return len(_realized_side_trees(families, k, 10**6))
+    return len(side_trees(families, k))
+
+
+def reference_side_trees(families, k: int) -> list[dict]:
+    """Realized trees grown one choice sequence at a time, every outcome of
+    the sequence's last family appended to every partial tree's response to
+    its prefix (the enumeration the LP used before the shared walker)."""
+    by_name = {f.name: f for f in families}
+    names = tuple(by_name)
+    partial: list[dict[tuple[str, ...], tuple[str, ...]]] = [{}]
+    for depth in range(1, k + 1):
+        for choices in itertools.product(names, repeat=depth):
+            new = []
+            for tree in partial:
+                past = tree[choices[:-1]] if depth > 1 else ()
+                for outcome in by_name[choices[-1]].labels:
+                    t = dict(tree)
+                    t[choices] = past + (outcome,)
+                    new.append(t)
+            partial = new
+    return partial
 
 
 class TestStrategyEnumeration:
@@ -90,28 +116,36 @@ class TestStrategyEnumeration:
 
     def test_depth_two_exceeds_budget(self):
         with pytest.raises(BudgetExceededError):
-            _realized_side_trees((MZ, MX), 2, 63)
-        assert len(_realized_side_trees((MZ, MX), 2, 64)) == 64
+            side_trees((MZ, MX), 2, 63)
+        assert len(side_trees((MZ, MX), 2, 64)) == 64
 
     def test_single_family_depth_two(self):
         # the second z outcome repeats the first: 8 full trees, 4 realized
-        trees = _realized_side_trees((MZ,), 2, 10**6)
+        trees = side_trees((MZ,), 2)
         assert [t[("mz", "mz")] for t in trees] == [
             ("+1", "+1"), ("+1", "-1"), ("-1", "+1"), ("-1", "-1")
         ]
 
     def test_realized_trees_collapse_duplicates(self):
-        realized = _realized_side_trees((MZ, MX), 2, 10**6)
+        realized = side_trees((MZ, MX), 2)
         assert len(realized) == 64
         assert len({tuple(sorted(t.items())) for t in realized}) == 64
 
     def test_realized_is_prefix_consistent(self):
-        for tree in _realized_side_trees((MZ, MX), 2, 10**6):
+        for tree in side_trees((MZ, MX), 2):
             assert len(tree) == 6
             for choices, outs in tree.items():
                 assert len(choices) == len(outs)
                 if len(choices) > 1:
                     assert tree[choices[:-1]] == outs[:-1]
+
+    @pytest.mark.parametrize("families", [(MZ,), (MZ, MX), (Q3, Q2)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_walker_matches_reference_order(self, families, k):
+        trees = side_trees(families, k)
+        assert [list(t.items()) for t in trees] == [
+            list(t.items()) for t in reference_side_trees(families, k)
+        ]
 
 
 def reference_system(rho, lp_ctx: Context, trees1, trees2):
@@ -120,10 +154,8 @@ def reference_system(rho, lp_ctx: Context, trees1, trees2):
     rows, targets, labels = [], [], []
     for c1, c2 in lp_ctx.collected_sequences():
         path = [(1, n) for n in c1] + [(2, n) for n in c2]
-        seq = measurement.local_sequence(
-            rho.dims, [(s, lp_ctx.family(s, n)) for s, n in path]
-        )
-        for outs, prob in measurement.sequence_distribution(rho, seq).items():
+        steps = [(s, lp_ctx.family(s, n)) for s, n in path]
+        for outs, prob in measurement.sequence_distribution(rho, steps).items():
             o1, o2 = outs[:len(c1)], outs[len(c1):]
             mask1 = np.array([not c1 or t[c1] == o1 for t in trees1], dtype=float)
             mask2 = np.array([not c2 or t[c2] == o2 for t in trees2], dtype=float)
@@ -148,8 +180,7 @@ class TestPhase1System:
     def test_matches_row_by_row_reference(self, case):
         lp_ctx, dims = ASSEMBLY_CASES[case]
         rho = acceptance._random_density(np.random.default_rng(len(case)), *dims)
-        trees1 = _realized_side_trees(lp_ctx.side1, lp_ctx.max_len1, 10**6)
-        trees2 = _realized_side_trees(lp_ctx.side2, lp_ctx.max_len2, 10**6)
+        trees1, trees2 = (_strategies(lp_ctx, side, 10**6) for side in (1, 2))
         a_eq, b_vec = _phase1_system(rho, lp_ctx, trees1, trees2)
         a_ref, b_ref, labels = reference_system(rho, lp_ctx, trees1, trees2)
         n_rows, n_cols = a_ref.shape

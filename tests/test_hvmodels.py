@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -520,10 +521,9 @@ class TestQuantumTables:
         checked += [(p, tables.interleaved(p)) for p in ctx.interleaved_sequences()]
         assert len(checked) == 48 + 164
         for path, table in checked:
-            seq = measurement.local_sequence(
-                rho.dims, [(s, ctx.step_family((s, n))) for s, n in path]
+            want = measurement.sequence_distribution(
+                rho, [(s, ctx.step_family((s, n))) for s, n in path]
             )
-            want = measurement.sequence_distribution(rho, seq)
             assert table.shape == (len(want),)
             assert np.max(np.abs(table - np.array(list(want.values())))) < 1e-12
 
@@ -649,6 +649,75 @@ class TestModelTables:
             m.distribution_collected(("mz", "mx"), ())
 
 
+# Exact model JSON of small models with dyadic weights, so that every float
+# prints the same on any machine: the node keys ``n1/o1/.../nk`` (causal
+# steps written ``side:name``) are the file format, not an implementation
+# detail.
+Z = OperationFamily(
+    "z", ("0", "1"),
+    (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+    "ideal",
+)
+Z_JSON = (
+    '{"kind": "ideal", "labels": ["0", "1"], "name": "z", "operators": ['
+    '{"cols": 2, "im": [[0.0, 0.0], [0.0, 0.0]], "re": [[1.0, 0.0], [0.0, 0.0]], '
+    '"rows": 2}, {"cols": 2, "im": [[0.0, 0.0], [0.0, 0.0]], '
+    '"re": [[0.0, 0.0], [0.0, 1.0]], "rows": 2}]}'
+)
+
+
+def z_ctx_json(len1: int, len2: int) -> str:
+    return (f'{{"max_len1": {len1}, "max_len2": {len2}, '
+            f'"side1": [{Z_JSON}], "side2": [{Z_JSON}]}}')
+
+
+GOLDEN_JSON = {
+    "causal": (
+        '{"atoms": ["a0", "a1", "a2", "a3", "a4"], "context": ' + z_ctx_json(1, 1)
+        + ', "responses": {'
+        '"a0": {"1:z": "0", "1:z/0/2:z": "0", "2:z": "0", "2:z/0/1:z": "0"}, '
+        '"a1": {"1:z": "0", "1:z/0/2:z": "1", "2:z": "0", "2:z/0/1:z": "1"}, '
+        '"a2": {"1:z": "1", "1:z/1/2:z": "0", "2:z": "0", "2:z/0/1:z": "1"}, '
+        '"a3": {"1:z": "1", "1:z/1/2:z": "0", "2:z": "1", "2:z/1/1:z": "0"}, '
+        '"a4": {"1:z": "1", "1:z/1/2:z": "1", "2:z": "1", "2:z/1/1:z": "1"}}, '
+        '"shape": "causal", "weights": [0.375, 0.125, 0.25, 0.125, 0.125]}'
+    ),
+    "local_causal": (
+        '{"atoms": ["a0*a0", "a0*a1", "a1*a0", "a1*a1"], "context": ' + z_ctx_json(2, 1)
+        + ', "responses": {'
+        '"a0*a0": {"side1": {"z": "0", "z/0/z": "0"}, "side2": {"z": "0"}}, '
+        '"a0*a1": {"side1": {"z": "0", "z/0/z": "0"}, "side2": {"z": "1"}}, '
+        '"a1*a0": {"side1": {"z": "1", "z/1/z": "1"}, "side2": {"z": "0"}}, '
+        '"a1*a1": {"side1": {"z": "1", "z/1/z": "1"}, "side2": {"z": "1"}}}, '
+        '"shape": "local_causal", "weights": [0.375, 0.375, 0.125, 0.125]}'
+    ),
+    "stochastic": (
+        '{"atoms": ["a"], "context": ' + z_ctx_json(2, 1) + ', "kernels": {"a": {'
+        '"side1": {"z": {"0": 0.75, "1": 0.25}, "z/0/z": {"0": 1.0}, '
+        '"z/1/z": {"0": 0.5, "1": 0.5}}, "side2": {"z": {"0": 0.5, "1": 0.5}}}}, '
+        '"shape": "stochastic", "weights": [1.0]}'
+    ),
+}
+
+
+def golden_model(shape: str):
+    if shape == "causal":
+        rho = states.make_density(np.diag([0.375, 0.125, 0.375, 0.125]).astype(complex),
+                                  (2, 2))
+        return trivial_causal_model(rho, Context((Z,), (Z,), 1, 1))
+    if shape == "local_causal":
+        return product_local_model(np.diag([0.75, 0.25]), np.diag([0.5, 0.5]),
+                                   Context((Z,), (Z,), 2, 1))
+    kernels = {"a": {
+        1: {(("z",), ()): {"0": 0.75, "1": 0.25},
+            (("z", "z"), ("0",)): {"0": 1.0},
+            (("z", "z"), ("1",)): {"0": 0.5, "1": 0.5}},
+        2: {(("z",), ()): {"0": 0.5, "1": 0.5}},
+    }}
+    return StochasticModel(FiniteSampleSpace(("a",), np.array([1.0])),
+                           Context((Z,), (Z,), 2, 1), kernels)
+
+
 class TestModelJson:
     def round_trip_check(self, m, rho):
         back = model_from_json(model_to_json(m))
@@ -726,6 +795,18 @@ class TestModelJson:
         )
         s = deterministic_to_stochastic(m)
         self.round_trip_check(s, diag_product(0.7, 0.6))
+
+    @pytest.mark.parametrize("shape", list(GOLDEN_JSON))
+    def test_golden_text(self, shape):
+        m = golden_model(shape)
+        text = json.dumps(model_to_json(m), sort_keys=True)
+        assert text == GOLDEN_JSON[shape]
+        back = model_from_json(json.loads(text))
+        assert json.dumps(model_to_json(back), sort_keys=True) == text
+        if shape == "stochastic":
+            assert back.kernels == m.kernels
+        else:
+            assert back.responses == m.responses
 
 
 @settings(max_examples=10, deadline=None)

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from nonloc import hilbert, measurement, states
 from nonloc.measurement import (
-    MeasurementStep,
     NonStochasticMatrix,
     NotCommuting,
     Observable,
@@ -12,7 +11,6 @@ from nonloc.measurement import (
     Povm,
     commuting_decompose,
     embed_local,
-    local_sequence,
     pauli,
     sequence_distribution,
     smeared_povm,
@@ -108,51 +106,21 @@ class TestSequenceDistribution:
         ket0 = np.zeros((2, 2), dtype=complex)
         ket0[0, 0] = 1.0
         rho = states.make_density(ket0, (2, 1))
-        seq = local_sequence(
-            (2, 1),
-            [(1, OperationFamily.ideal(pauli("x"), "mx")),
-             (1, OperationFamily.ideal(pauli("z"), "mz"))],
-        )
-        table = sequence_distribution(rho, seq)
+        steps = [(1, OperationFamily.ideal(pauli("x"), "mx")),
+                 (1, OperationFamily.ideal(pauli("z"), "mz"))]
+        table = sequence_distribution(rho, steps)
         assert len(table) == 4
         for prob in table.values():
             assert prob == pytest.approx(0.25, abs=1e-14)
 
     def test_singlet_anticorrelation(self):
-        seq = local_sequence(
-            (2, 2),
-            [(1, OperationFamily.ideal(pauli("z"), "mz")),
-             (2, OperationFamily.ideal(pauli("z"), "mz"))],
-        )
-        table = sequence_distribution(states.singlet(), seq)
+        steps = [(1, OperationFamily.ideal(pauli("z"), "mz")),
+                 (2, OperationFamily.ideal(pauli("z"), "mz"))]
+        table = sequence_distribution(states.singlet(), steps)
         assert table[("+1", "-1")] == pytest.approx(0.5, abs=1e-14)
         assert table[("-1", "+1")] == pytest.approx(0.5, abs=1e-14)
         assert table[("+1", "+1")] == pytest.approx(0.0, abs=1e-14)
         assert table[("-1", "-1")] == pytest.approx(0.0, abs=1e-14)
-
-    def test_rejects_non_commuting_tie(self):
-        fx = OperationFamily.ideal(pauli("x"), "mx")
-        fz = OperationFamily.ideal(pauli("z"), "mz")
-        steps = [
-            MeasurementStep(1, fx, 0),
-            MeasurementStep(1, fz, 0),
-        ]
-        with pytest.raises(ValueError):
-            measurement.MeasurementSequence(tuple(steps), hilbert.DimPair(2, 1))
-
-    def test_rejects_decreasing_times(self):
-        fx = OperationFamily.ideal(pauli("x"), "mx")
-        steps = [MeasurementStep(1, fx, 1), MeasurementStep(1, fx, 0)]
-        with pytest.raises(ValueError):
-            measurement.MeasurementSequence(tuple(steps), hilbert.DimPair(2, 1))
-
-    def test_commuting_tie_allowed(self):
-        fx = OperationFamily.ideal(pauli("x"), "mx")
-        fz = OperationFamily.ideal(pauli("z"), "mz")
-        steps = (MeasurementStep(1, fx, 0), MeasurementStep(2, fz, 0))
-        seq = measurement.MeasurementSequence(steps, hilbert.DimPair(2, 2))
-        table = sequence_distribution(states.maximally_mixed(2, 2), seq)
-        assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -170,7 +138,7 @@ def test_distribution_sums_to_one_property(seed, length):
         d = d1 if side == 1 else d2
         obs = Observable.from_matrix(random_hermitian(rng, d), f"m{i}")
         steps.append((side, OperationFamily.ideal(obs)))
-    table = sequence_distribution(rho, local_sequence((d1, d2), steps))
+    table = sequence_distribution(rho, steps)
     assert sum(table.values()) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -182,8 +150,8 @@ def test_marginalization_equals_truncation_property(seed):
     fams = [OperationFamily.ideal(
         Observable.from_matrix(random_hermitian(rng, 2), f"m{i}")) for i in range(3)]
     steps = [(1, fams[0]), (2, fams[1]), (1, fams[2])]
-    full = sequence_distribution(rho, local_sequence((2, 2), steps))
-    trunc = sequence_distribution(rho, local_sequence((2, 2), steps[:-1]))
+    full = sequence_distribution(rho, steps)
+    trunc = sequence_distribution(rho, steps[:-1])
     marg: dict = {}
     for outs, p in full.items():
         marg[outs[:-1]] = marg.get(outs[:-1], 0.0) + p
@@ -198,8 +166,8 @@ def test_side_reorder_invariance_property(seed):
     rho = states.werner_gen(2, float(rng.uniform(0, 0.5)))
     f1 = OperationFamily.ideal(Observable.from_matrix(random_hermitian(rng, 2), "a"))
     f2 = OperationFamily.ideal(Observable.from_matrix(random_hermitian(rng, 2), "b"))
-    t12 = sequence_distribution(rho, local_sequence((2, 2), [(1, f1), (2, f2)]))
-    t21 = sequence_distribution(rho, local_sequence((2, 2), [(2, f2), (1, f1)]))
+    t12 = sequence_distribution(rho, [(1, f1), (2, f2)])
+    t21 = sequence_distribution(rho, [(2, f2), (1, f1)])
     # keys of t21 are ordered (side-2 outcome, side-1 outcome)
     for (o1, o2), p in t12.items():
         assert t21[(o2, o1)] == pytest.approx(p, abs=1e-12)
@@ -279,10 +247,8 @@ class TestEmbedLocal:
         right = embed_local(op, 2, hilbert.DimPair(3, 2))
         assert np.allclose(left, np.kron(op, np.eye(3)))
         assert np.allclose(right, np.kron(np.eye(3), op))
-
-    def test_global_passthrough(self):
-        op = np.eye(4, dtype=complex)
-        assert np.array_equal(embed_local(op, 0, hilbert.DimPair(2, 2)), op)
+        with pytest.raises(ValueError):
+            embed_local(np.eye(4, dtype=complex), 0, hilbert.DimPair(2, 2))
 
 
 def test_povm_json_round_trip():
