@@ -173,10 +173,11 @@ def _cmd_thresholds(args) -> tuple[dict, int]:
         "normalization": float(states.normalization_bound(d)),
         "entanglement": float(states.entanglement_threshold(d)),
         "lhv1": float(states.lhv1_threshold(d)),
-        "collapse_separable": float(states.collapse_separability_threshold(d)),
+        "collapse_separable": None,  # a codimension-1 collapse needs d >= 3
     }
     samples = []
     if d >= 3:
+        results["collapse_separable"] = float(states.collapse_separability_threshold(d))
         for c in np.linspace(0.0, float(states.normalization_bound(d)), 6)[1:-1]:
             samples.append(
                 {"c": float(c), "c_prime": float(states.collapsed_c_prime(d, float(c)))}

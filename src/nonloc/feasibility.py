@@ -99,16 +99,40 @@ def _strategies(lp_ctx: Context, side: int, budget: int) -> list[dict]:
     return [tree for tree, _ in hvmodels._realized_trees(seqs, uniform, budget)]
 
 
+def _strategy_model(lp_ctx: Context, side: int, trees: list[dict]) -> DeterministicModel:
+    """One side's strategies ``trees`` as the atoms of a uniform local causal
+    model whose other side takes no step; its ``index[side]`` gives the LP's
+    rows and the certificate model's responses."""
+    caps = (lp_ctx.max_len1, 0) if side == 1 else (0, lp_ctx.max_len2)
+    atoms = tuple(map(str, range(len(trees))))
+    space = FiniteSampleSpace(atoms, np.full(len(atoms), 1.0 / len(atoms)))
+    one_side = Context(lp_ctx.side1, lp_ctx.side2, *caps)
+    responses = {atom: {side: tree} for atom, tree in zip(atoms, trees)}
+    return DeterministicModel.from_responses(space, "local_causal", one_side, responses)
+
+
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     """LP outcome: a certificate of local realizability or a separation."""
 
     status: str  # "feasible" | "infeasible" | "indeterminate"
     max_residual: float
-    certificate: list | None = None  # [{"weight", "side1", "side2"}, ...]
     witness: dict | None = None
     model: DeterministicModel | None = None
     report: hvmodels.VerificationReport | None = None
+
+    @property
+    def certificate(self) -> list | None:
+        """``model``'s atoms as ``[{"weight", "side1", "side2"}, ...]``, each
+        side's responses as in model JSON; None without a model."""
+        if self.model is None:
+            return None
+        trees = self.model.responses.values()
+        return [
+            {"weight": float(w), "side1": hvmodels._tree_to_json(t[1], str),
+             "side2": hvmodels._tree_to_json(t[2], str)}
+            for w, t in zip(self.model.space.weights, trees)
+        ]
 
 
 def result_to_json(res: FeasibilityResult) -> dict:
@@ -123,7 +147,7 @@ def result_to_json(res: FeasibilityResult) -> dict:
 
 
 def _phase1_system(
-    rho: DensityMatrix, lp_ctx: Context, trees1: list[dict], trees2: list[dict]
+    rho: DensityMatrix, lp_ctx: Context, s1: DeterministicModel, s2: DeterministicModel
 ) -> tuple[sparse.csc_array, np.ndarray]:
     """Equality constraints [kron(S1, S2) | I | -I] x = b of the phase-1 LP.
 
@@ -131,11 +155,12 @@ def _phase1_system(
     label-product order with the first step most significant (the order of
     ``measurement.sequence_distribution``); ``b`` holds their
     probabilities, from ``hvmodels.QuantumTables``.  Columns are the
-    strategy pairs (t1, t2) at t1 * n2 + t2, then the two slack blocks.  A
-    pair's column holds exactly one 1 per sequence, at the row of the
-    outcome string its two trees give, so all row indices come from one
-    broadcast of the per-side outcome indices.  This is the LP's first use
-    of scipy, so it calls ``_load_scipy``.
+    pairs (t1, t2) of atoms of the strategy models ``s1`` and ``s2`` at
+    t1 * n2 + t2, then the two slack blocks.  A pair's column holds exactly
+    one 1 per sequence, at the row of the outcome string its two strategies
+    give, so all row indices come from one broadcast of the per-side outcome
+    indices.  This is the LP's first use of scipy, so it calls
+    ``_load_scipy``.
     """
     _load_scipy()
     quantum = hvmodels.QuantumTables(rho, lp_ctx)
@@ -143,10 +168,8 @@ def _phase1_system(
     tables = [quantum.collected(c1, c2) for c1, c2 in seqs]
     b_vec = np.concatenate([t.ravel() for t in tables])
     side1, side2 = (
-        hvmodels._response_indices(
-            trees, lp_ctx.choice_sequences(side)[1:], lp_ctx.labels(side)
-        )[0]
-        for side, trees in ((1, trees1), (2, trees2))
+        {(): np.zeros(len(s.space), dtype=np.intp), **s.index[side]}
+        for side, s in ((1, s1), (2, s2))
     )
     idx1 = np.stack([side1[c1] for c1, _ in seqs])
     idx2 = np.stack([side2[c2] for _, c2 in seqs])
@@ -154,7 +177,7 @@ def _phase1_system(
     offset = np.cumsum([0] + [t.size for t in tables[:-1]])
     rows = (offset[:, None, None] + idx1[:, :, None] * width[:, None, None]
             + idx2[:, None, :])
-    n_seq, n_cols, n_rows = len(seqs), len(trees1) * len(trees2), b_vec.size
+    n_seq, n_cols, n_rows = len(seqs), len(s1.space) * len(s2.space), b_vec.size
     n_ones = n_cols * n_seq
     slack = np.arange(n_rows)
     indices = np.concatenate([rows.reshape(n_seq, n_cols).T.ravel(), slack, slack])
@@ -217,7 +240,8 @@ def lchv_feasibility(
         )
     log.info("feasibility LP over %d x %d strategies", n1, n2)
 
-    a_eq, b_vec = _phase1_system(rho, lp_ctx, trees1, trees2)  # loads scipy
+    strategies = [_strategy_model(lp_ctx, side, t) for side, t in ((1, trees1), (2, trees2))]
+    a_eq, b_vec = _phase1_system(rho, lp_ctx, *strategies)  # loads scipy
     n_cols = n1 * n2
     n_rows = b_vec.size
 
@@ -248,33 +272,22 @@ def lchv_feasibility(
         )
         weights = x_face[kept]
         weights = weights / float(np.sum(weights))
-        atoms = []
-        responses = {}
-        certificate = []
-        for rank, idx in enumerate(support):
-            i1, i2 = divmod(int(idx), n2)
-            atom = f"s{rank}"
-            atoms.append(atom)
-            responses[atom] = {1: trees1[i1], 2: trees2[i2]}
-            certificate.append(
-                {
-                    "weight": float(weights[rank]),
-                    "side1": hvmodels._tree_to_json(trees1[i1], str),
-                    "side2": hvmodels._tree_to_json(trees2[i2], str),
-                }
-            )
-        space = FiniteSampleSpace(tuple(atoms), np.asarray(weights))
-        model = DeterministicModel(space, "local_causal", lp_ctx, responses)
+        # the certificate model's atoms are the support's strategy pairs
+        pairs = dict(zip((1, 2), np.divmod(support, n2)))
+        index = {
+            side: {c: idx[pairs[side]] for c, idx in s.index[side].items()}
+            for side, s in zip((1, 2), strategies)
+        }
+        atoms = tuple(f"s{rank}" for rank in range(support.size))
+        space = FiniteSampleSpace(atoms, np.asarray(weights))
+        model = DeterministicModel(space, "local_causal", lp_ctx, index)
         report = hvmodels.verify_model(model, rho, tol=model_tol)
         if not report.passed:
             raise LpNumericalFailure(
                 f"certificate model failed verification: {report.summary()}",
                 FeasibilityResult("indeterminate", residual),
             )
-        return FeasibilityResult(
-            "feasible", residual, certificate=certificate, model=model,
-            report=report,
-        )
+        return FeasibilityResult("feasible", residual, model=model, report=report)
 
     if opt >= 100.0 * lp_tol:
         y = np.asarray(res.eqlin.marginals, dtype=float)

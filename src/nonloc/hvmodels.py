@@ -1,12 +1,16 @@
 """Finite hidden-variables models for sequential measurements.
 
-A deterministic model is a finite weighted sample space together with
-response trees: for every atom and every admissible sequence of observable
-choices, the realized outcome string.  Responses never read later choices
-(causality is structural), and in the ``local_causal`` shape each side's
-responses read only that side's choices (locality is structural too).
-Stochastic models replace responses with per-side outcome kernels composed by
-the chain rule.
+A deterministic model is a finite weighted sample space together with, for
+every atom and every admissible sequence of observable choices, the realized
+outcome string.  ``DeterministicModel.index`` stores these as one array per
+sequence: each atom's outcome string as its index in label-product order.
+Responses never read later choices (causality is structural: the
+constructor checks that each index extends its prefix's), and in the
+``local_causal`` shape each side's responses read only that side's choices
+(locality is structural too).  ``DeterministicModel.from_responses`` is the
+one decoder of response trees (model JSON, realized trees, hand-written
+models); ``responses`` decodes the index back into trees.  Stochastic models
+replace responses with per-side outcome kernels composed by the chain rule.
 
 Constructions provided here:
 
@@ -29,11 +33,11 @@ Constructions provided here:
 ``verify_model`` replays every sequence distribution of a model against the
 quantum one with one array engine.  ``QuantumTables`` builds each side's
 effects along a prefix trie of its choice sequences and gets every table
-from one contraction with the state.  On the model side, one pass over
-(atom, choice sequence) gives outcome-string indices (deterministic models)
-or chain-rule probability matrices (stochastic models), from which each
-table is a weighted count or a matrix product.  The public
-``distribution_*`` methods are thin wrappers over the same arrays.
+from one contraction with the state.  On the model side each table is a
+weighted count of the stored indices (deterministic models) or a matrix
+product of chain-rule probability matrices from one pass over (atom, choice
+sequence) (stochastic models).  The public ``distribution_*`` methods are
+thin wrappers over the same arrays.
 """
 
 from __future__ import annotations
@@ -192,66 +196,81 @@ class FiniteSampleSpace:
 class DeterministicModel:
     """Deterministic hidden-variables model over a finite context.
 
-    ``shape`` is ``"causal"`` (one global response tree per atom, keyed by
-    time-ordered step sequences) or ``"local_causal"`` (two per-side trees per
-    atom, keyed by own-side choice sequences).  Response trees store realized
-    outcome strings: ``responses[atom][choices] == outcomes``, with prefix
-    consistency guaranteeing causality.
+    ``shape`` is ``"causal"`` (responses to time-ordered step sequences) or
+    ``"local_causal"`` (per-side responses to own-side choice sequences).
+    ``index[path]`` (causal) or ``index[side][choices]`` (local_causal) is
+    an ``intp`` array over atoms: each atom's outcome string as its index in
+    label-product order, first step most significant (as in
+    ``QuantumTables``).  The constructor requires every key of the context
+    and checks that each key's indices extend its prefix's by one outcome,
+    so every model is causal (and, per side, local) by construction.
+    ``responses`` and ``response`` decode the index into outcome tuples.
     """
 
     space: FiniteSampleSpace
     shape: str
     context: Context
-    # causal: {atom: {path (StepKey tuple): outcome tuple}}
-    # local_causal: {atom: {1: {names tuple: outcomes}, 2: {...}}}
-    responses: dict
+    index: dict
 
     def __post_init__(self) -> None:
-        if self.shape not in ("causal", "local_causal"):
-            raise ValueError(f"unknown shape {self.shape!r}")
+        checked = {
+            side: _checked_index(_table(self.index, side), side, keys, labels, len(self.space))
+            for side, keys, labels in _response_tables(self.context, self.shape)
+        }
+        object.__setattr__(self, "index", _shaped(self.shape, checked))
+
+    @classmethod
+    def from_responses(
+        cls, space: FiniteSampleSpace, shape: str, ctx: Context, trees: dict
+    ) -> DeterministicModel:
+        """Model from response trees: ``trees[atom]`` maps step paths to
+        outcome tuples (causal) or holds one tree per side, keyed 1 and 2,
+        over own-side choice sequences (local_causal).  Raises ``ValueError``
+        naming the first sequence with a missing response, an unlisted
+        outcome, or a response that does not extend the one to its prefix."""
+        per_atom = [trees.get(atom, {}) for atom in space.atoms]
+        index = {}
+        for side, keys, labels in _response_tables(ctx, shape):
+            side_trees = per_atom if side is None else [t.get(side, {}) for t in per_atom]
+            index[side], bad = _response_indices(side_trees, keys, labels)
+            if bad is not None:
+                raise ValueError(f"missing or unlisted response at {_key_name(side, bad)}")
+        return cls(space, shape, ctx, _shaped(shape, index))
+
+    @property
+    def responses(self) -> dict:
+        """Read-only view of ``index``, decoded on each access:
+        ``{atom: {path: outcomes}}`` (causal) or
+        ``{atom: {1: {choices: outcomes}, 2: {...}}}`` (local_causal)."""
+        trees = {}
+        for side, keys, labels in _response_tables(self.context, self.shape):
+            strings = _decoded(_table(self.index, side), labels)
+            rows = zip(*(strings[k] for k in keys)) if keys else [()] * len(self.space)
+            trees[side] = [dict(zip(keys, row)) for row in rows]
+        if self.shape == "causal":
+            return dict(zip(self.space.atoms, trees[None]))
+        return {a: {1: t1, 2: t2} for a, t1, t2 in zip(self.space.atoms, trees[1], trees[2])}
 
     def response(self, atom: str, side: int, choices: tuple[str, ...]):
         if self.shape != "local_causal":
             raise ValueError("per-side responses require local_causal shape")
-        return self.responses[atom][side][choices]
+        labels = [self.context.labels(side)[n] for n in choices]
+        j = self.index[side][choices][self.space.atoms.index(atom)]
+        digits = np.unravel_index(j, [len(lab) for lab in labels])
+        return tuple(lab[o] for lab, o in zip(labels, digits))
 
-    def _trees(self, side: int | None) -> list[dict]:
-        """Per-atom response trees: one side's (``local_causal``) or the
-        global ones (``side`` None, ``causal``)."""
-        if side is None:
-            return [self.responses.get(a, {}) for a in self.space.atoms]
-        return [self.responses.get(a, {}).get(side, {}) for a in self.space.atoms]
-
-    def _side_arrays(self, side: int | None, keys, labels: dict):
-        """Outcome-string index of every atom's response to each key, and the
-        first key with a missing or malformed response (None if there is
-        none); see ``_response_indices``."""
-        return _response_indices(self._trees(side), keys, labels)
-
-    def _joint_table(self, idx1, idx2, shape) -> np.ndarray:
-        flat = idx1 * shape[1] + idx2
-        return np.bincount(
-            flat, weights=self.space.weights, minlength=shape[0] * shape[1]
-        ).reshape(shape)
-
-    def _key_indices(self, side: int | None, key: tuple, labels: dict):
-        """(index of every atom's response to ``key``, ``labels`` extended by
-        the outcomes the responses use that the families do not list).
-
-        A pass with the families' labels that finds no bad key used no
-        unlisted outcome, so only a failed pass extends the labels and runs
-        again.
-        """
-        trees = self._trees(side)
-        keys = _prefixes(key)
-        indices, bad = _response_indices(trees, keys, labels)
-        if bad is not None:
-            labels = _with_observed(
-                labels, ((k[-1], t[k][-1]) for k in keys for t in trees if t.get(k))
-            )
-            indices, bad = _response_indices(trees, keys, labels)
-            _require_complete(bad)
-        return indices[key], labels
+    def _flat_index(self, path: tuple[StepKey, ...]) -> np.ndarray:
+        """Every atom's outcome-string index for ``path``: in the path's time
+        order (causal), or in collected order, side-1 steps first
+        (local_causal)."""
+        if self.shape == "causal":
+            return self.index[path]
+        flat = np.zeros(len(self.space), dtype=np.intp)
+        for side, key in zip((1, 2), _split(path)):
+            if key:
+                labels = self.context.labels(side)
+                flat = flat * _n_strings(labels[n] for n in key) + self.index[side][key]
+        return flat
 
     def distribution_interleaved(
         self, path: tuple[StepKey, ...]
@@ -261,16 +280,7 @@ class DeterministicModel:
         Keys are the outcome strings some atom realizes.
         """
         labels = _step_labels(self.context)
-        if self.shape == "causal":
-            flat, labels = self._key_indices(None, path, labels)
-        else:  # index the collected order, re-ordered to the path's below
-            flat = 0
-            for side, key in zip((1, 2), _split(path)):
-                idx, side_labels = self._key_indices(
-                    side, key, self.context.labels(side)
-                )
-                labels.update({(side, n): lab for n, lab in side_labels.items()})
-                flat = flat * _n_strings(side_labels[n] for n in key) + idx
+        flat = self._flat_index(path)
         size = _n_strings(labels[s] for s in path)
         values = np.bincount(flat, self.space.weights, minlength=size)
         hit = np.bincount(flat, minlength=size) > 0
@@ -306,18 +316,12 @@ class StochasticModel:
     ) -> dict[str, float]:
         return self.kernels[atom][side][(choices, past)]
 
-    def _side_kernels(self, side: int) -> list[dict]:
-        return [self.kernels.get(a, {}).get(side, {}) for a in self.space.atoms]
+    def _side_arrays(self, side: int, keys):
+        """``_chain_probabilities`` of this side's kernels over ``keys``."""
+        kernels = [self.kernels.get(a, {}).get(side, {}) for a in self.space.atoms]
+        return _chain_probabilities(kernels, keys, self.context.labels(side))
 
-    def _side_arrays(self, side: int, keys, labels: dict):
-        """(atoms x outcome strings) chain-rule probabilities of each
-        own-side choice sequence, and the first key with a missing or
-        malformed kernel (None if there is none); see
-        ``_chain_probabilities``."""
-        probs, _, bad = _chain_probabilities(self._side_kernels(side), keys, labels)
-        return probs, bad
-
-    def _joint_table(self, probs1, probs2, shape=None) -> np.ndarray:
+    def _joint_table(self, probs1, probs2) -> np.ndarray:
         return (probs1 * self.space.weights[:, None]).T @ probs2
 
     def distribution_collected(
@@ -326,27 +330,18 @@ class StochasticModel:
         """Outcome table with all side-1 steps taken before side-2 steps.
 
         Keys are the outcome strings the chain rule reaches at some atom,
-        including those a kernel gives probability zero at the last step.
-        As in ``DeterministicModel._key_indices``, the labels are extended by
-        unlisted outcomes only when a pass with the families' labels fails.
+        including those a kernel gives probability zero at the last step.  A
+        kernel missing where the chain rule needs it, or giving an outcome
+        its family does not list, raises ``ValueError`` naming the sequence.
         """
         probs, reached, step_labels = [], [], []
         for side, key in ((1, choices1), (2, choices2)):
-            kernels = self._side_kernels(side)
-            keys = _prefixes(key)
-            labels = self.context.labels(side)
-            p, r, bad = _chain_probabilities(kernels, keys, labels)
+            p, r, bad = self._side_arrays(side, _prefixes(key))
             if bad is not None:
-                labels = _with_observed(labels, (
-                    (choices[-1], o) for kern in kernels
-                    for (choices, _), dist in kern.items() if choices in keys
-                    for o in dist
-                ))
-                p, r, bad = _chain_probabilities(kernels, keys, labels)
-                _require_complete(bad)
+                raise ValueError(f"missing kernel or unlisted outcome at {_key_name(side, bad)}")
             probs.append(p[key])
             reached.append(r[key].astype(float))
-            step_labels += [labels[n] for n in key]
+            step_labels += [self.context.labels(side)[n] for n in key]
         return _table_dict(
             self._joint_table(*probs).ravel(),
             (reached[0].T @ reached[1]).ravel() > 0,
@@ -395,45 +390,80 @@ def _table_dict(values, hit, step_labels) -> dict[tuple[str, ...], float]:
     return {s: float(v) for s, v, h in zip(strings, values, hit) if h}
 
 
-def _with_observed(labels: dict, observed) -> dict:
-    """``labels`` with each family's list extended, in sorted order, by the
-    outcomes in ``observed`` ((family key, outcome) pairs) it lacks."""
-    extra: dict = {}
-    for x, o in observed:
-        if o not in labels[x]:
-            extra.setdefault(x, set()).add(o)
-    return {x: lab + tuple(sorted(extra.get(x, ()))) for x, lab in labels.items()}
+def _key_name(side: int | None, key: tuple) -> str:
+    """A response key as ``side:name/...``; causal keys (side None) are
+    step paths, own-side choices get their side."""
+    steps = key if side is None else [(side, n) for n in key]
+    return "/".join(f"{s}:{n}" for s, n in steps)
 
 
-def _require_complete(bad) -> None:
-    if bad is not None:
-        raise ValueError(f"missing or prefix-inconsistent responses at {bad}")
+def _response_tables(ctx: Context, shape: str) -> list:
+    """(side, keys, labels) of each response table of a ``shape`` model: one
+    over the context's step paths (side None) for ``causal``, one per side
+    over its own choice sequences for ``local_causal``.  Keys come after
+    their prefixes; ``labels`` maps a key's last element to its outcomes."""
+    if shape == "causal":
+        return [(None, list(ctx.interleaved_sequences()), _step_labels(ctx))]
+    if shape == "local_causal":
+        return [(s, ctx.choice_sequences(s)[1:], ctx.labels(s)) for s in (1, 2)]
+    raise ValueError(f"unknown shape {shape!r}")
+
+
+def _table(index: dict, side: int | None) -> dict:
+    return index if side is None else index.get(side, {})
+
+
+def _shaped(shape: str, tables: dict):
+    """A model's index from its tables by side (None: causal step paths)."""
+    return tables[None] if shape == "causal" else tables
+
+
+def _checked_index(table: dict, side, keys, labels: dict, n_atoms: int) -> dict:
+    """``table`` over ``keys`` as intp arrays over the atoms.  Raises
+    ``ValueError`` naming the first key whose array is missing, not one
+    integer per atom, or breaks ``index // len(labels) == prefix index`` (0
+    for one-step keys), which also bounds it to the key's outcome strings."""
+    out = {(): np.zeros(n_atoms, dtype=np.intp)}
+    for key in keys:
+        idx = np.asarray(table[key]) if key in table else None
+        if idx is None or idx.shape != (n_atoms,) or idx.dtype.kind not in "iu":
+            fault = "are missing or not one integer per atom"
+        elif (idx // len(labels[key[-1]]) == out[key[:-1]]).all():
+            out[key] = idx.astype(np.intp, copy=False)
+            continue
+        elif idx.min() < 0 or idx.max() >= _n_strings(labels[x] for x in key):
+            fault = "are out of range"
+        else:
+            fault = "do not extend the prefix's responses"
+        raise ValueError(f"response indices at {_key_name(side, key)} {fault}")
+    del out[()]
+    return out
 
 
 def _response_indices(trees: list[dict], keys, labels: dict):
-    """Index of each tree's response among every key's outcome strings.
-
-    ``keys`` are choice sequences or step paths, each after its prefixes;
-    ``labels`` maps a key's last element to its outcome labels.  A tree's
-    response to a key must extend its response to the key's parent by one
-    known label.  Returns ({key: int array over trees}, first key at which
-    some tree fails that, or None).
-    """
-    indices = {(): np.zeros(len(trees), dtype=np.intp)}
-    responses = {(): [()] * len(trees)}
+    """Index of each tree's response among every key's outcome strings, in
+    label-product order, and the first key at which some tree has no
+    response or one that is no string of listed outcomes (None if none).
+    Prefix consistency is left to ``DeterministicModel``."""
+    indices = {}
     for key in keys:
-        lab = labels[key[-1]]
-        position = {o: j for j, o in enumerate(lab)}
-        outs = [tree.get(key) for tree in trees]
+        strings = itertools.product(*(labels[x] for x in key))
+        position = {s: j for j, s in enumerate(strings)}
         try:
-            col = [position[o[-1]] for o in outs]
-        except (KeyError, IndexError, TypeError):  # unknown label, (), None
+            indices[key] = np.array([position[t.get(key)] for t in trees], dtype=np.intp)
+        except (KeyError, TypeError):  # missing, unlisted, unhashable
             return indices, key
-        if [o[:-1] for o in outs] != responses[key[:-1]]:
-            return indices, key
-        responses[key] = outs
-        indices[key] = indices[key[:-1]] * len(lab) + np.array(col, dtype=np.intp)
     return indices, None
+
+
+def _decoded(index: dict, labels: dict) -> dict:
+    """Every atom's outcome tuple for each key of ``index``: the inverse of
+    ``_response_indices``."""
+    out = {}
+    for key, idx in index.items():
+        strings = list(itertools.product(*(labels[x] for x in key)))
+        out[key] = [strings[j] for j in idx.tolist()]
+    return out
 
 
 def _chain_probabilities(kernels: list[dict], keys, labels: dict):
@@ -537,9 +567,7 @@ def trivial_causal_model(
     points = _dedupe_points(
         set(np.concatenate([b for lo_hi in cells.values() for b in lo_hi]).tolist())
     )
-    atom_bounds = [
-        (a, b) for a, b in zip(points, points[1:]) if b > a
-    ]
+    atom_bounds = [(a, b) for a, b in zip(points, points[1:]) if b > a]
     if len(atom_bounds) > atom_budget:
         raise BudgetExceededError(
             f"{len(atom_bounds)} atoms exceed atom budget {atom_budget}"
@@ -548,30 +576,19 @@ def trivial_causal_model(
     bounds = np.array(atom_bounds)
     weights = bounds[:, 1] - bounds[:, 0]
     mids = bounds.mean(axis=1)
-    columns = []
-    for path in paths:
-        lo, hi = cells[path]
-        strings = np.fromiter(
-            itertools.product(*(labels[s] for s in path)), dtype=object, count=lo.size
-        )
-        columns.append(strings[_cell_index(lo, hi, mids)].tolist())
-    rows = zip(*columns) if paths else [()] * len(atoms)
-    responses = {atom: dict(zip(paths, row)) for atom, row in zip(atoms, rows)}
+    index = {path: _cell_index(*cells[path], mids) for path in paths}
     space = FiniteSampleSpace(atoms, weights, intervals=tuple(atom_bounds))
-    return DeterministicModel(space, "causal", ctx, responses)
+    return DeterministicModel(space, "causal", ctx, index)
 
 
 def _single_side_context(families: tuple[OperationFamily, ...], max_len: int) -> Context:
     return Context(families, (), max_len, 0)
 
 
-def _own_side_trees(m: DeterministicModel) -> list[dict]:
-    """Each atom's tree of a causal model on a single-side context, keyed by
-    choice sequences instead of step paths."""
-    return [
-        {tuple(n for _, n in path): outs for path, outs in m.responses[a].items()}
-        for a in m.space.atoms
-    ]
+def _own_side_index(m: DeterministicModel) -> dict:
+    """The index of a causal model on a single-side context, keyed by choice
+    sequences instead of step paths."""
+    return {tuple(n for _, n in path): idx for path, idx in m.index.items()}
 
 
 def product_local_model(
@@ -583,33 +600,26 @@ def product_local_model(
     ``rho1``/``rho2`` are the one-side density matrices (plain arrays or
     DensityMatrix with trivial second factor).
     """
-    d1, d2 = ctx.dims.d1, ctx.dims.d2
-    side_models = []
-    for rho_s, fams, cap, d in (
-        (rho1, ctx.side1, ctx.max_len1, d1),
-        (rho2, ctx.side2, ctx.max_len2, d2),
-    ):
-        mat = rho_s.matrix if isinstance(rho_s, DensityMatrix) else rho_s
-        state = make_density(mat, (d, 1))
-        sub = trivial_causal_model(
-            state, _single_side_context(fams, cap), atom_budget
+    m1, m2 = (
+        trivial_causal_model(
+            make_density(r.matrix if isinstance(r, DensityMatrix) else r, (d, 1)),
+            _single_side_context(fams, cap), atom_budget,
         )
-        side_models.append(sub)
-    m1, m2 = side_models
-    atoms = []
-    weights = []
-    responses = {}
-    if len(m1.space) * len(m2.space) > atom_budget:
+        for r, fams, cap, d in ((rho1, ctx.side1, ctx.max_len1, ctx.dims.d1),
+                                (rho2, ctx.side2, ctx.max_len2, ctx.dims.d2))
+    )
+    n1, n2 = len(m1.space), len(m2.space)
+    if n1 * n2 > atom_budget:
         raise BudgetExceededError("product space exceeds atom budget")
-    trees2 = _own_side_trees(m2)
-    for a1, w1, tree1 in zip(m1.space.atoms, m1.space.weights, _own_side_trees(m1)):
-        for a2, w2, tree2 in zip(m2.space.atoms, m2.space.weights, trees2):
-            atom = f"{a1}*{a2}"
-            atoms.append(atom)
-            weights.append(float(w1) * float(w2))
-            responses[atom] = {1: tree1, 2: tree2}
-    space = FiniteSampleSpace(tuple(atoms), np.array(weights))
-    return DeterministicModel(space, "local_causal", ctx, responses)
+    # atom (i1, i2) sits at i1 * n2 + i2
+    atoms = tuple(f"{a1}*{a2}" for a1 in m1.space.atoms for a2 in m2.space.atoms)
+    weights = np.outer(m1.space.weights, m2.space.weights).ravel()
+    index = {
+        1: {c: np.repeat(idx, n2) for c, idx in _own_side_index(m1).items()},
+        2: {c: np.tile(idx, n1) for c, idx in _own_side_index(m2).items()},
+    }
+    space = FiniteSampleSpace(atoms, weights)
+    return DeterministicModel(space, "local_causal", ctx, index)
 
 
 def _contexts_compatible(a: Context, b: Context) -> bool:
@@ -640,17 +650,17 @@ def mix_models(models: list[DeterministicModel], mix_weights) -> DeterministicMo
             raise ValueError("mixture components have mismatched shapes")
         if not _contexts_compatible(m.context, ctx):
             raise ValueError("mixture components have mismatched contexts")
-    atoms = []
-    weights = []
-    responses = {}
-    for i, (m, wi) in enumerate(zip(models, w)):
-        for atom, wa in zip(m.space.atoms, m.space.weights):
-            tagged = f"m{i}:{atom}"
-            atoms.append(tagged)
-            weights.append(float(wi) * float(wa))
-            responses[tagged] = m.responses[atom]
-    space = FiniteSampleSpace(tuple(atoms), np.array(weights))
-    return DeterministicModel(space, shape, ctx, responses)
+    atoms = tuple(f"m{i}:{a}" for i, m in enumerate(models) for a in m.space.atoms)
+    weights = np.concatenate([wi * m.space.weights for m, wi in zip(models, w)])
+    index = {
+        side: {
+            key: np.concatenate([_table(m.index, side)[key] for m in models])
+            for key in keys
+        }
+        for side, keys, _ in _response_tables(ctx, shape)
+    }
+    space = FiniteSampleSpace(atoms, weights)
+    return DeterministicModel(space, shape, ctx, _shaped(shape, index))
 
 
 def _decrement_bound(ctx: Context, side: int) -> Context:
@@ -675,34 +685,31 @@ def collapse_model(
     """
     (side, name), outcome = first
     ctx = m.context
-    ctx.family(side, name)  # raises KeyError if absent
+    labels = ctx.family(side, name).labels  # raises KeyError if absent
     new_ctx = _decrement_bound(ctx, side)
-    # the tree the first step answers in, and that step as its key head
+    # the table the first step answers in, and that step as its key head
     causal = m.shape == "causal"
     head = (side, name) if causal else name
-    trees = m._trees(None if causal else side)
-    kept = [
-        (atom, float(w), tree)
-        for atom, w, tree in zip(m.space.atoms, m.space.weights, trees)
-        if tree[(head,)][0] == outcome
-    ]
-    total = sum(w for _, w, _ in kept)
+    table = _table(m.index, None if causal else side)
+    kept = table[(head,)] == (labels.index(outcome) if outcome in labels else -1)
+    total = sum(m.space.weights[kept].tolist())
     if total <= PROB_FLOOR:
         raise ZeroProbabilityBranch(
             f"outcome {outcome!r} of {name!r} has probability {total:.3e}"
         )
-    responses = {}
-    for atom, _, tree in kept:
-        shifted = {
-            key[1:]: outs[1:]
-            for key, outs in tree.items()
-            if len(key) > 1 and key[0] == head
-        }
-        responses[atom] = shifted if causal else {**m.responses[atom], side: shifted}
-    atoms = tuple(a for a, _, _ in kept)
-    weights = np.array([w / total for _, w, _ in kept])
-    space = FiniteSampleSpace(atoms, weights)
-    return DeterministicModel(space, m.shape, new_ctx, responses)
+    # a follow-up key's index is its full key's less the first outcome's digit
+    key_labels = _step_labels(ctx) if causal else ctx.labels(side)
+    shifted = {
+        key[1:]: idx[kept] % _n_strings(key_labels[x] for x in key[1:])
+        for key, idx in table.items()
+        if len(key) > 1 and key[0] == head
+    }
+    index = shifted if causal else {
+        side: shifted, 3 - side: {k: idx[kept] for k, idx in m.index[3 - side].items()}
+    }
+    atoms = tuple(a for a, keep in zip(m.space.atoms, kept.tolist()) if keep)
+    space = FiniteSampleSpace(atoms, m.space.weights[kept] / total)
+    return DeterministicModel(space, m.shape, new_ctx, index)
 
 
 def _rank1_projector_labels(fam: OperationFamily) -> dict[str, np.ndarray]:
@@ -731,35 +738,29 @@ def _interval_family_models(
     """Single-system interval models for each pure collapsed state, refined to
     one shared sample space.
 
-    Returns (atom weights, {(family, outcome) -> {atom index -> tree}}) where
-    each tree maps follow-up choice tuples to outcome tuples.
+    Returns (atom weights, {(family, outcome) -> {follow-up choices -> index
+    array over the shared atoms}}).
     """
+    if follow_len == 0:
+        return np.ones(1), {key: {} for key in projectors}
     d = fams[0].dim
     sub_ctx = _single_side_context(fams, follow_len)
-    per_state = {}
-    breakpoints = {0.0, 1.0}
-    for key, proj in projectors.items():
-        state = make_density(proj / float(np.real(np.trace(proj))), (d, 1))
-        sub = trivial_causal_model(state, sub_ctx, atom_budget) if follow_len > 0 \
-            else None
-        per_state[key] = sub
-        if sub is not None:
-            for lo, hi in sub.space.intervals:
-                breakpoints.add(lo)
-                breakpoints.add(hi)
-    points = _dedupe_points(breakpoints)
-    bounds = [(a, b) for a, b in zip(points, points[1:]) if b > a]
-    weights = [b - a for a, b in bounds]
-    mids = np.array([(a + b) / 2.0 for a, b in bounds])
-    trees: dict[tuple[str, str], list[dict]] = {}
-    for key, sub in per_state.items():
-        if sub is None:
-            trees[key] = [{} for _ in bounds]
-            continue
-        lo, hi = np.array(sub.space.intervals).T
-        sub_trees = _own_side_trees(sub)
-        trees[key] = [sub_trees[i] for i in _cell_index(lo, hi, mids).tolist()]
-    return weights, trees
+    subs = {
+        key: trivial_causal_model(
+            make_density(proj / float(np.real(np.trace(proj))), (d, 1)), sub_ctx, atom_budget
+        )
+        for key, proj in projectors.items()
+    }
+    points = _dedupe_points({0.0, 1.0}.union(
+        *(itertools.chain.from_iterable(sub.space.intervals) for sub in subs.values())
+    ))
+    bounds = np.array([(a, b) for a, b in zip(points, points[1:]) if b > a])
+    mids = bounds.mean(axis=1)
+    follow = {}
+    for key, sub in subs.items():
+        cells = _cell_index(*np.array(sub.space.intervals).T, mids)
+        follow[key] = {c: idx[cells] for c, idx in _own_side_index(sub).items()}
+    return bounds[:, 1] - bounds[:, 0], follow
 
 
 def couple_lchv_d2(
@@ -783,74 +784,73 @@ def couple_lchv_d2(
         raise ValueError("coupling construction requires local dimension 2")
     if lhv1.context.max_len1 < 1 or lhv1.context.max_len2 < 1:
         raise ValueError("first-step model must cover length-1 sequences")
-    for name in ctx.names(1):
-        lhv1.context.family(1, name)
-    for name in ctx.names(2):
-        lhv1.context.family(2, name)
-
-    proj1: dict[tuple[str, str], np.ndarray] = {}
-    proj2: dict[tuple[str, str], np.ndarray] = {}
-    for fam in ctx.side1:
-        for lab, p in _rank1_projector_labels(fam).items():
-            proj1[(fam.name, lab)] = p
-    for fam in ctx.side2:
-        for lab, p in _rank1_projector_labels(fam).items():
-            proj2[(fam.name, lab)] = p
-
-    w1, trees1 = _interval_family_models(
-        ctx.side1, ctx.max_len1 - 1, proj1, atom_budget
+    for side in (1, 2):
+        for name in ctx.names(side):
+            lhv1.context.family(side, name)
+    projectors = {
+        side: {(fam.name, lab): p for fam in ctx.families(side)
+               for lab, p in _rank1_projector_labels(fam).items()}
+        for side in (1, 2)
+    }
+    (w1, follow1), (w2, follow2) = (
+        _interval_family_models(ctx.families(side), cap - 1, projectors[side], atom_budget)
+        for side, cap in ((1, ctx.max_len1), (2, ctx.max_len2))
     )
-    w2, trees2 = _interval_family_models(
-        ctx.side2, ctx.max_len2 - 1, proj2, atom_budget
-    )
-    n_total = len(lhv1.space) * len(w1) * len(w2)
+    n_lhv, n1, n2 = len(lhv1.space), len(w1), len(w2)
+    n_total = n_lhv * n1 * n2
     if n_total > atom_budget:
         raise BudgetExceededError(f"{n_total} atoms exceed budget {atom_budget}")
 
-    def side_tree(atom: str, side: int, trees, refined_idx: int) -> dict:
-        names = ctx.names(side)
-        cap = ctx.max_len1 if side == 1 else ctx.max_len2
-        tree: dict[tuple[str, ...], tuple[str, ...]] = {}
-        for first_name in names:
-            first_out = lhv1.responses[atom][side][(first_name,)][0]
-            follow = trees[(first_name, first_out)][refined_idx]
-            tree[(first_name,)] = (first_out,)
-            for n in range(1, cap):
-                for rest in itertools.product(names, repeat=n):
-                    tree[(first_name,) + rest] = (first_out,) + follow[rest]
-        return tree
+    def side_index(side: int, follow: dict) -> dict:
+        """Each response of one side over (lhv1 atom, refined atom): the
+        first outcome from ``lhv1``, then the follow-up model of the state
+        that outcome leaves, gathered at the refined atom."""
+        labels = ctx.labels(side)
+        out = {}
+        for choices in ctx.choice_sequences(side)[1:]:
+            name, rest = choices[0], choices[1:]
+            position = [labels[name].index(o) for o in lhv1.context.labels(side)[name]]
+            first = np.array(position)[lhv1.index[side][(name,)]]
+            idx = first[:, None]
+            if rest:
+                follow_up = np.stack([follow[(name, o)][rest] for o in labels[name]])
+                idx = idx * _n_strings(labels[n] for n in rest) + follow_up[first]
+            out[choices] = idx
+        return out
 
-    atoms = []
-    weights = []
-    responses = {}
-    for atom_w, ww in zip(lhv1.space.atoms, lhv1.space.weights):
-        t2s = [side_tree(atom_w, 2, trees2, i2) for i2 in range(len(w2))]
-        for i1, p1 in enumerate(w1):
-            t1 = side_tree(atom_w, 1, trees1, i1)
-            for i2, (p2, t2) in enumerate(zip(w2, t2s)):
-                atom = f"{atom_w}|{i1}|{i2}"
-                atoms.append(atom)
-                weights.append(float(ww) * p1 * p2)
-                responses[atom] = {1: t1, 2: t2}
-    space = FiniteSampleSpace(tuple(atoms), np.array(weights))
-    return DeterministicModel(space, "local_causal", ctx, responses)
+    # atom (a, i1, i2) sits at (a * n1 + i1) * n2 + i2
+    shape = (n_lhv, n1, n2)
+    index = {
+        1: {c: np.broadcast_to(idx[:, :, None], shape).ravel()
+            for c, idx in side_index(1, follow1).items()},
+        2: {c: np.broadcast_to(idx[:, None, :], shape).ravel()
+            for c, idx in side_index(2, follow2).items()},
+    }
+    atoms = tuple(
+        f"{a}|{i1}|{i2}" for a in lhv1.space.atoms for i1 in range(n1) for i2 in range(n2)
+    )
+    weights = (
+        lhv1.space.weights[:, None, None] * w1[None, :, None] * w2[None, None, :]
+    ).ravel()
+    space = FiniteSampleSpace(atoms, weights)
+    return DeterministicModel(space, "local_causal", ctx, index)
 
 
 def deterministic_to_stochastic(m: DeterministicModel) -> StochasticModel:
-    """Degenerate (0/1-valued) kernels reproducing a local causal model."""
+    """Degenerate (0/1-valued) kernels reproducing a local causal model.
+
+    Each atom's node (choices, past) gets a point mass on its response's
+    last outcome, ``past`` being its response to the prefix."""
     if m.shape != "local_causal":
         raise ValueError(
             "only local_causal models translate to per-side kernels"
         )
-    kernels = {}
-    for atom in m.space.atoms:
-        per_side = {1: {}, 2: {}}
-        for side in (1, 2):
-            for choices, outs in m.responses[atom][side].items():
-                for k in range(1, len(choices) + 1):
-                    node = (choices[:k], outs[: k - 1])
-                    per_side[side][node] = {outs[k - 1]: 1.0}
-        kernels[atom] = per_side
+    kernels = {atom: {1: {}, 2: {}} for atom in m.space.atoms}
+    per_atom = list(kernels.values())
+    for side in (1, 2):
+        for choices, strings in _decoded(m.index[side], m.context.labels(side)).items():
+            for k, outs in zip(per_atom, strings):
+                k[side][(choices, outs[:-1])] = {outs[-1]: 1.0}
     return StochasticModel(m.space, m.context, kernels)
 
 
@@ -899,6 +899,7 @@ def stochastic_to_deterministic(
     its deterministic original.
     """
     ctx = s.context
+    seqs = {side: ctx.choice_sequences(side)[1:] for side in (1, 2)}
     atoms = []
     weights = []
     responses = {}
@@ -906,11 +907,7 @@ def stochastic_to_deterministic(
         if float(w) == 0.0:
             continue
         trees1, trees2 = (
-            _realized_trees(
-                ctx.choice_sequences(side)[1:],
-                s.kernels[atom].get(side, {}),
-                atom_budget,
-            )
+            _realized_trees(seqs[side], s.kernels[atom].get(side, {}), atom_budget)
             for side in (1, 2)
         )
         if len(atoms) + len(trees1) * len(trees2) > atom_budget:
@@ -924,7 +921,7 @@ def stochastic_to_deterministic(
                 weights.append(float(w) * p1 * p2)
                 responses[tagged] = {1: t1, 2: t2}
     space = FiniteSampleSpace(tuple(atoms), np.array(weights))
-    return DeterministicModel(space, "local_causal", ctx, responses)
+    return DeterministicModel.from_responses(space, "local_causal", ctx, responses)
 
 
 def extend_commuting_povm(
@@ -951,53 +948,37 @@ def extend_commuting_povm(
         decs.append(dec)
 
     def match_basis(side: int, dec: measurement.CommutingDecomposition):
-        """Find the context family realizing the basis projectors; map
-        projector index j to that family's outcome label."""
+        """The context family realizing the basis projectors, and for each
+        projector j the position of that family's outcome realizing it."""
         for fam in lhv1.context.families(side):
-            mapping = {}
-            ok = True
-            for j, p in enumerate(dec.projectors):
-                hit = None
-                for lab, op in zip(fam.labels, fam.operators):
-                    if float(np.max(np.abs(op.conj().T @ op - p))) < 1e-8:
-                        hit = lab
-                        break
-                if hit is None:
-                    ok = False
-                    break
-                mapping[j] = hit
-            if ok and len(set(mapping.values())) == len(mapping):
-                return fam, mapping
+            effects = [op.conj().T @ op for op in fam.operators]
+            hits = [
+                next((k for k, e in enumerate(effects)
+                      if float(np.max(np.abs(e - p))) < 1e-8), None)
+                for p in dec.projectors
+            ]
+            if None not in hits and len(set(hits)) == len(hits):
+                return fam, hits
         raise MissingBasisObservable(
             f"no side-{side} family matches the joint eigenbasis"
         )
 
-    fam1, map1 = match_basis(1, decs[0])
-    fam2, map2 = match_basis(2, decs[1])
+    matches = [match_basis(side, dec) for side, dec in zip((1, 2), decs)]
     new_ctx = Context(
         (OperationFamily.from_povm(povm1, names[0]),),
         (OperationFamily.from_povm(povm2, names[1]),),
         1,
         1,
     )
-    kernels = {}
-    for atom in lhv1.space.atoms:
-        per_side = {}
-        for side, fam, mapping, dec, name in (
-            (1, fam1, map1, decs[0], names[0]),
-            (2, fam2, map2, decs[1], names[1]),
-        ):
-            basis_out = lhv1.responses[atom][side][(fam.name,)][0]
-            j = next(k for k, lab in mapping.items() if lab == basis_out)
-            row = dec.table[:, j]
+    kernels = {atom: {} for atom in lhv1.space.atoms}
+    for side, (fam, hits), dec, name in zip((1, 2), matches, decs, names):
+        for atom, k in zip(lhv1.space.atoms, lhv1.index[side][(fam.name,)].tolist()):
+            row = dec.table[:, hits.index(k)]
             total = float(np.sum(row))
             if total <= 0:
                 raise ValueError("joint-eigenbasis coefficients sum to zero")
-            dist = {
-                lab: float(v) / total for lab, v in zip(dec.labels, row)
-            }
-            per_side[side] = {((name,), ()): dist}
-        kernels[atom] = per_side
+            dist = {lab: float(v) / total for lab, v in zip(dec.labels, row)}
+            kernels[atom][side] = {((name,), ()): dist}
     return StochasticModel(lhv1.space, new_ctx, kernels)
 
 
@@ -1082,53 +1063,52 @@ def verify_model(
     responses are interleaving-invariant and the two sides' operators
     commute.  Every outcome of every sequence is compared.
 
-    Quantum tables come from ``QuantumTables``.  On the model side one pass
-    over (atom, key) gives, per key, each atom's outcome-string index
-    (deterministic models; the table is a weighted ``bincount``) or an
-    (atoms x outcome strings) chain-rule probability matrix (stochastic
-    models; the table is P1^T diag(w) P2).  The same pass checks that every
-    response exists and extends the response to its prefix; a model that
-    fails this fails verification with an infinite deviation, no table
-    compared, and the offending sequence as ``worst_sequence``.
+    Quantum tables come from ``QuantumTables``.  A deterministic model's
+    table is a weighted ``bincount`` of its stored outcome-string indices,
+    which are well formed by construction.  For a stochastic model one pass
+    over (atom, key) gives each key's (atoms x outcome strings) chain-rule
+    probability matrix, and its table is P1^T diag(w) P2.  That pass checks
+    that every kernel the chain rule needs exists and lists only known
+    outcomes; a model that fails this fails verification with an infinite
+    deviation, no table compared, and the offending sequence as
+    ``worst_sequence``.
     """
     ctx = m.context
     quantum = QuantumTables(rho, ctx)
     labels = _step_labels(ctx)
     if m.shape == "causal":
         paths = list(ctx.interleaved_sequences())
-        indices, bad = m._side_arrays(None, paths, labels)
-
-        def tables(path):
-            q = quantum.interleaved(path)
-            return q, np.bincount(indices[path], m.space.weights, minlength=q.size)
+        quantum_table = quantum.interleaved
     else:
-        (arrays1, bad1), (arrays2, bad2) = (
-            m._side_arrays(side, ctx.choice_sequences(side)[1:], ctx.labels(side))
-            for side in (1, 2)
-        )
-        bad = None
-        if bad1 is not None:
-            bad = _collected_path(bad1, ())
-        elif bad2 is not None:
-            bad = _collected_path((), bad2)
         paths = [_collected_path(c1, c2) for c1, c2 in ctx.collected_sequences()]
 
-        def tables(path):
+        def quantum_table(path):
+            return quantum.collected(*_split(path)).ravel()
+    bad = None
+    if isinstance(m, StochasticModel):
+        (probs1, _, bad1), (probs2, _, bad2) = (
+            m._side_arrays(side, ctx.choice_sequences(side)[1:]) for side in (1, 2)
+        )
+        bad = next(((s, key) for s, key in ((1, bad1), (2, bad2)) if key is not None), None)
+
+        def model_table(path, size):
             c1, c2 = _split(path)
-            q = quantum.collected(c1, c2)
-            return q.ravel(), m._joint_table(arrays1[c1], arrays2[c2], q.shape).ravel()
+            return m._joint_table(probs1[c1], probs2[c2]).ravel()
+    else:
+        def model_table(path, size):
+            return np.bincount(m._flat_index(path), m.space.weights, minlength=size)
 
     worst = 0.0
     worst_seq = "(none)"
     count = 0
     if bad is not None:
         worst = float("inf")
-        worst_seq = "/".join(f"{s}:{n}" for s, n in bad)
+        worst_seq = _key_name(*bad)
         paths = []
     for path in paths:
-        q, model_table = tables(path)
+        q = quantum_table(path)
         count += 1
-        dev = np.abs(model_table - q)
+        dev = np.abs(model_table(path, q.size) - q)
         k = int(np.argmax(dev))
         if dev[k] > worst:
             worst = float(dev[k])
@@ -1233,8 +1213,7 @@ def model_to_json(m) -> dict:
     }
     if m.shape == "causal":
         base["responses"] = {
-            atom: _tree_to_json(tree, _step_segment)
-            for atom, tree in m.responses.items()
+            atom: _tree_to_json(tree, _step_segment) for atom, tree in m.responses.items()
         }
     elif m.shape == "local_causal":
         base["responses"] = {
@@ -1263,16 +1242,15 @@ def model_from_json(obj: dict):
     shape = obj["shape"]
     if shape == "causal":
         responses = {
-            atom: _tree_from_json(tree, _segment_step)
-            for atom, tree in obj["responses"].items()
+            atom: _tree_from_json(tree, _segment_step) for atom, tree in obj["responses"].items()
         }
-        return DeterministicModel(space, "causal", ctx, responses)
+        return DeterministicModel.from_responses(space, shape, ctx, responses)
     if shape == "local_causal":
         responses = {
             atom: {side: _tree_from_json(trees[f"side{side}"], str) for side in (1, 2)}
             for atom, trees in obj["responses"].items()
         }
-        return DeterministicModel(space, "local_causal", ctx, responses)
+        return DeterministicModel.from_responses(space, shape, ctx, responses)
     if shape == "stochastic":
         kernels = {
             atom: {

@@ -124,8 +124,10 @@ def lhv1_threshold(d: int) -> Fraction:
 
 
 def collapse_separability_threshold(d: int) -> Fraction:
-    """At or below this value the codimension-1 collapsed state is separable."""
+    """At or below this value the codimension-1 collapsed state (d >= 3) is separable."""
     _check_local_dim(d)
+    if d < 3:
+        raise ParameterOutOfRange("codimension-1 collapse threshold needs d >= 3")
     return Fraction(1, d * (d * d - 1) - d * d)
 
 

@@ -68,9 +68,8 @@ class TestThresholds:
         code, report = run(capsys, ["thresholds", "--d", "2"])
         assert code == 0
         r = report["results"]
-        # at d = 2 the collapse-separability bound coincides with the
-        # normalization bound (a rank-1 collapse is vacuously separable)
-        assert r["collapse_separable"] == 0.5
+        # a codimension-1 collapse needs d >= 3, as in `werner --d 2`
+        assert r["collapse_separable"] is None
         assert r["normalization"] == 0.5
         assert r["c_prime_samples"] == []
 

@@ -17,6 +17,7 @@ from nonloc.feasibility import (
     _phase1_system,
     _row_labels,
     _strategies,
+    _strategy_model,
     bell_polytope_oracle,
     chsh_maximize,
     chsh_value,
@@ -181,7 +182,8 @@ class TestPhase1System:
         lp_ctx, dims = ASSEMBLY_CASES[case]
         rho = acceptance._random_density(np.random.default_rng(len(case)), *dims)
         trees1, trees2 = (_strategies(lp_ctx, side, 10**6) for side in (1, 2))
-        a_eq, b_vec = _phase1_system(rho, lp_ctx, trees1, trees2)
+        a_eq, b_vec = _phase1_system(rho, lp_ctx, _strategy_model(lp_ctx, 1, trees1),
+                                     _strategy_model(lp_ctx, 2, trees2))
         a_ref, b_ref, labels = reference_system(rho, lp_ctx, trees1, trees2)
         n_rows, n_cols = a_ref.shape
         assert n_cols == len(trees1) * len(trees2)

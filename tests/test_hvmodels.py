@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonloc import hvmodels, measurement, states
+from nonloc.feasibility import lchv_feasibility
 from nonloc.hvmodels import (
     BudgetExceededError,
     Context,
@@ -34,6 +35,13 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 MZ = OperationFamily.ideal(pauli("z"), "mz")
 MX = OperationFamily.ideal(pauli("x"), "mx")
+
+
+def labelled_family(name: str, labels: tuple[str, ...]) -> OperationFamily:
+    """Ideal family on C^len(labels) with outcome ``labels``: the
+    computational-basis projectors."""
+    basis = np.eye(len(labels), dtype=complex)
+    return OperationFamily(name, labels, tuple(np.diag(v) for v in basis), "ideal")
 
 
 def qubit_pair_ctx(max_len: int) -> Context:
@@ -325,7 +333,7 @@ class TestFineTranslations:
                     assert set(dist.values()) == {1.0}
 
     def test_nondegenerate_instantiation_matches_chain_rule(self):
-        ctx = Context((MZ,), (), 2, 0)
+        ctx = Context((labelled_family("mz", ("u", "v")),), (), 2, 0)
         kernels = {
             "a": {
                 1: {
@@ -358,7 +366,8 @@ class TestFineTranslations:
 
 class TestSideDistribution:
     def test_two_atom_chain_rule_product(self):
-        ctx = Context((MZ,), (MX,), 1, 1)
+        ctx = Context((labelled_family("mz", ("u", "v")),),
+                      (labelled_family("mx", ("x", "y")),), 1, 1)
         kernels = {
             "a": {
                 1: {(("mz",), ()): {"u": 0.3, "v": 0.7}},
@@ -387,7 +396,7 @@ class TestExtendCommutingPovm:
         ctx = Context((b1,), (b2,), 1, 1)
         responses = {"a0": {1: {("bz1",): ("+1",)}, 2: {("bz2",): ("+1",)}}}
         space = FiniteSampleSpace(("a0",), np.array([1.0]))
-        return DeterministicModel(space, "local_causal", ctx, responses)
+        return DeterministicModel.from_responses(space, "local_causal", ctx, responses)
 
     def test_joint_table_frozen(self):
         lhv1 = self.basis_model()
@@ -428,7 +437,7 @@ class TestExtendCommutingPovm:
         bx = OperationFamily.ideal(pauli("x"), "bx1")
         ctx = Context((bx,), (bx,), 1, 1)
         responses = {"a0": {1: {("bx1",): ("+1",)}, 2: {("bx1",): ("+1",)}}}
-        m = DeterministicModel(
+        m = DeterministicModel.from_responses(
             FiniteSampleSpace(("a0",), np.array([1.0])), "local_causal", ctx, responses
         )
         zsm = smeared_povm(pauli("z"), np.array([[0.8, 0.3], [0.2, 0.7]]))
@@ -537,10 +546,13 @@ class TestQuantumTables:
 
 
 def reference_interleaved(m: DeterministicModel, path) -> dict:
+    """The table of ``path`` counted atom by atom over the decoded
+    ``responses`` view."""
     out: dict = {}
+    responses = m.responses
     if m.shape == "causal":
         for atom, w in zip(m.space.atoms, m.space.weights):
-            key = m.responses[atom][path]
+            key = responses[atom][path]
             out[key] = out.get(key, 0.0) + float(w)
         return out
     idx1 = [i for i, s in enumerate(path) if s[0] == 1]
@@ -548,8 +560,8 @@ def reference_interleaved(m: DeterministicModel, path) -> dict:
     c1 = tuple(path[i][1] for i in idx1)
     c2 = tuple(path[i][1] for i in idx2)
     for atom, w in zip(m.space.atoms, m.space.weights):
-        o1 = m.responses[atom][1][c1] if c1 else ()
-        o2 = m.responses[atom][2][c2] if c2 else ()
+        o1 = responses[atom][1][c1] if c1 else ()
+        o2 = responses[atom][2][c2] if c2 else ()
         merged = [None] * len(path)
         for i, o in zip(idx1, o1):
             merged[i] = o
@@ -586,8 +598,9 @@ def reference_collected(s: StochasticModel, c1, c2) -> dict:
 
 def random_stochastic(rng, labels) -> StochasticModel:
     """Three atoms with random kernels over ``labels`` on every own past,
-    some entries exactly zero."""
-    ctx = Context((MZ, MX), (MX,), 2, 1)
+    some entries exactly zero, on families that list ``labels``."""
+    mz, mx = labelled_family("mz", labels), labelled_family("mx", labels)
+    ctx = Context((mz, mx), (mx,), 2, 1)
     kernels = {}
     for atom in ("a", "b", "c"):
         per_side = {}
@@ -620,7 +633,14 @@ class TestModelTables:
             [0.25, 0.75],
         )
         other_labels = stochastic_to_deterministic(random_stochastic(rng, ("u", "v", "+1")))
-        return causal, local, other_labels
+        rho = states.werner_gen(2, 0.2)
+        certificate = lchv_feasibility(rho, qubit_pair_ctx(1), 1).model
+        coupled = couple_lchv_d2(certificate, qubit_pair_ctx(2))
+        causal2 = trivial_causal_model(rho, qubit_pair_ctx(2))
+        collapsed = [collapse_model(causal2, ((2, "mx"), "-1")),
+                     collapse_model(coupled, ((1, "mz"), "+1")),
+                     collapse_model(local, ((2, "mx"), "-1"))]
+        return causal, local, other_labels, certificate, coupled, *collapsed
 
     def test_deterministic_tables_match_reference_loop(self):
         for m in self.deterministic_models():
@@ -643,10 +663,49 @@ class TestModelTables:
     def test_malformed_responses_raise_value_error(self):
         m = product_local_model(np.eye(2, dtype=complex) / 2,
                                 np.eye(2, dtype=complex) / 2, qubit_pair_ctx(2))
-        atom = m.space.atoms[0]
-        del m.responses[atom][1][("mz", "mx")]
-        with pytest.raises(ValueError, match="mz"):
-            m.distribution_collected(("mz", "mx"), ())
+        responses = m.responses
+        del responses[m.space.atoms[0]][1][("mz", "mx")]
+        with pytest.raises(ValueError, match="at 1:mz/1:mx"):
+            DeterministicModel.from_responses(m.space, m.shape, m.context, responses)
+
+    def test_unlisted_outcome_raises(self):
+        ctx = Context((MZ,), (MZ,), 1, 1)
+        space = FiniteSampleSpace(("a",), np.array([1.0]))
+        trees = {"a": {1: {("mz",): ("u",)}, 2: {("mz",): ("+1",)}}}
+        with pytest.raises(ValueError, match="at 1:mz$"):
+            DeterministicModel.from_responses(space, "local_causal", ctx, trees)
+        s = StochasticModel(space, ctx, {"a": {
+            1: {(("mz",), ()): {"+1": 0.5, "-1": 0.5}},
+            2: {(("mz",), ()): {"u": 1.0}},
+        }})
+        with pytest.raises(ValueError, match="at 2:mz$"):
+            stochastic_to_deterministic(s)
+        with pytest.raises(ValueError, match="at 2:mz$"):
+            s.distribution_collected(("mz",), ("mz",))
+
+    @pytest.mark.parametrize("shape", ["causal", "local_causal"])
+    def test_constructor_rejects_malformed_index(self, shape):
+        """A first-step index past the last outcome is out of range; a
+        two-step index with the wrong first digit is inconsistent with its
+        prefix.  Each error names its sequence."""
+        if shape == "causal":
+            m = trivial_causal_model(states.singlet(), z_only_ctx(1))
+            first, second = ((1, "mz"),), ((1, "mz"), (2, "mz"))
+            names = "1:mz", "1:mz/2:mz"
+        else:
+            m = product_local_model(np.eye(2, dtype=complex) / 2,
+                                    np.eye(2, dtype=complex) / 2, qubit_pair_ctx(2))
+            first, second = ("mz",), ("mz", "mx")
+            names = "1:mz", "1:mz/1:mx"
+        for key, change, name, fault in (
+            (first, lambda idx: idx + 2, names[0], "are out of range"),
+            (second, lambda idx: idx ^ 2, names[1], "do not extend the prefix's responses"),
+        ):
+            index = dict(m.index) if shape == "causal" else {1: dict(m.index[1]), 2: m.index[2]}
+            table = index if shape == "causal" else index[1]
+            table[key] = change(table[key])
+            with pytest.raises(ValueError, match=f"at {name} {fault}$"):
+                DeterministicModel(m.space, m.shape, m.context, index)
 
 
 # Exact model JSON of small models with dyadic weights, so that every float
@@ -765,15 +824,10 @@ class TestModelJson:
     @pytest.mark.parametrize("shape", ["causal", "local_causal"])
     @pytest.mark.parametrize("how", ["missing", "inconsistent"])
     def test_broken_responses_fail_verification(self, shape, how):
+        """Malformed responses are rejected when the model is loaded."""
         obj, named = self.broken_json(shape, how)
-        m = model_from_json(obj)
-        rho = states.singlet() if shape == "causal" else diag_product(0.7, 0.6)
-        rep = verify_model(m, rho)
-        assert not rep.passed
-        assert rep.structural["responses_read_only_past"] is False
-        assert rep.worst_sequence == named
-        assert rep.max_deviation == float("inf")
-        assert rep.n_sequences == 0
+        with pytest.raises(ValueError, match=f"at {named}( |$)"):
+            model_from_json(obj)
 
     def test_missing_kernel_fails_verification(self):
         m = product_local_model(np.diag([0.7, 0.3]).astype(complex),

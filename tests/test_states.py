@@ -83,6 +83,10 @@ class TestThresholds:
             with pytest.raises(ParameterOutOfRange, match=f"local dimension {d} < 2"):
                 fn(d)
 
+    def test_collapse_separability_needs_d3(self):
+        with pytest.raises(ParameterOutOfRange, match="d >= 3"):
+            collapse_separability_threshold(2)
+
     def test_ordering(self):
         for d in range(3, 7):
             assert (entanglement_threshold(d)
