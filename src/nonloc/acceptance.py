@@ -73,13 +73,6 @@ def _involution_context(
     return Context(fams1, fams2, max_len, max_len)
 
 
-def _rank2_block(d: int) -> np.ndarray:
-    t = np.zeros((d, d), dtype=complex)
-    t[0, 0] = 1.0
-    t[1, 1] = 1.0
-    return t
-
-
 # --- criteria ---------------------------------------------------------------
 
 
@@ -179,7 +172,7 @@ def criterion_4() -> CriterionResult:
         if d == 2:
             val, _ = chsh_maximize(rho)
         else:
-            t = _rank2_block(d)
+            t = states.rank2_projector(d)
             val, _ = chsh_maximize(rho, t, t)
         vals[d] = val
     oracle = {d: 2.0 * np.sqrt(2.0) * d / (d + 2) for d in (3, 4, 5, 6)}

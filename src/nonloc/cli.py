@@ -193,8 +193,7 @@ def _cmd_popescu(args) -> tuple[dict, int]:
         value, _ = feasibility.chsh_maximize(rho)
         weight = 2.0 * float(states.lhv1_threshold(2))
     else:
-        t = np.zeros((d, d), dtype=complex)
-        t[0, 0] = t[1, 1] = 1.0
+        t = states.rank2_projector(d)
         value, _ = feasibility.chsh_maximize(rho, t, t)
         weight = d / (d + 2.0)
     results = {

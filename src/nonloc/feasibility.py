@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -80,35 +81,30 @@ class LpNumericalFailure(RuntimeError):
         super().__init__(message)
 
 
-def _strategies(lp_ctx: Context, side: int, budget: int) -> list[dict]:
-    """One side's deterministic strategies: its realized response trees.
+def _strategy_index(lp_ctx: Context, side: int, budget: int) -> dict:
+    """One side's deterministic strategies as outcome-index arrays.
 
-    These are the realized trees of the kernel that gives every outcome
-    weight 1 (``hvmodels._realized_trees``), in label order.  Unlike full
-    trees they assign outcomes only along self-consistent pasts; two full
-    trees with the same realized tree are indistinguishable in every
-    sequence distribution, so the feasibility LP works on these.
+    A strategy answers each own-side choice sequence c with one outcome of
+    its last family, m_c of them, along its own past only (Fine's
+    equivalence: these lose no generality).  So the strategies are the
+    mixed-radix numbers over the radices m_c, first choice sequence most
+    significant, and strategy t answers c with the outcome string
+    ``index[c][t]`` in label-product order: ``index[()]`` is 0 and
+    ``index[c] = index[c[:-1]] * m_c + digit_c``.  Raises
+    ``BudgetExceededError`` before building any array when there are more
+    than ``budget`` strategies.
     """
     labels = lp_ctx.labels(side)
     seqs = lp_ctx.choice_sequences(side)[1:]
-    uniform = {
-        (choices, past): dict.fromkeys(labels[choices[-1]], 1)
-        for choices in seqs
-        for past in itertools.product(*(labels[n] for n in choices[:-1]))
-    }
-    return [tree for tree, _ in hvmodels._realized_trees(seqs, uniform, budget)]
-
-
-def _strategy_model(lp_ctx: Context, side: int, trees: list[dict]) -> DeterministicModel:
-    """One side's strategies ``trees`` as the atoms of a uniform local causal
-    model whose other side takes no step; its ``index[side]`` gives the LP's
-    rows and the certificate model's responses."""
-    caps = (lp_ctx.max_len1, 0) if side == 1 else (0, lp_ctx.max_len2)
-    atoms = tuple(map(str, range(len(trees))))
-    space = FiniteSampleSpace(atoms, np.full(len(atoms), 1.0 / len(atoms)))
-    one_side = Context(lp_ctx.side1, lp_ctx.side2, *caps)
-    responses = {atom: {side: tree} for atom, tree in zip(atoms, trees)}
-    return DeterministicModel.from_responses(space, "local_causal", one_side, responses)
+    radices = [len(labels[c[-1]]) for c in seqs]
+    n = math.prod(radices)
+    if n > budget:
+        raise BudgetExceededError(f"realized response trees exceed budget {budget}")
+    digits = np.unravel_index(np.arange(n), radices) if seqs else ()
+    index = {(): np.zeros(n, dtype=np.intp)}
+    for c, m, digit in zip(seqs, radices, digits):
+        index[c] = index[c[:-1]] * m + digit
+    return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +143,7 @@ def result_to_json(res: FeasibilityResult) -> dict:
 
 
 def _phase1_system(
-    rho: DensityMatrix, lp_ctx: Context, s1: DeterministicModel, s2: DeterministicModel
+    rho: DensityMatrix, lp_ctx: Context, side1: dict, side2: dict
 ) -> tuple[sparse.csc_array, np.ndarray]:
     """Equality constraints [kron(S1, S2) | I | -I] x = b of the phase-1 LP.
 
@@ -155,29 +151,25 @@ def _phase1_system(
     label-product order with the first step most significant (the order of
     ``measurement.sequence_distribution``); ``b`` holds their
     probabilities, from ``hvmodels.QuantumTables``.  Columns are the
-    pairs (t1, t2) of atoms of the strategy models ``s1`` and ``s2`` at
-    t1 * n2 + t2, then the two slack blocks.  A pair's column holds exactly
-    one 1 per sequence, at the row of the outcome string its two strategies
-    give, so all row indices come from one broadcast of the per-side outcome
-    indices.  This is the LP's first use of scipy, so it calls
-    ``_load_scipy``.
+    pairs (t1, t2) of the strategies indexed by ``side1`` and ``side2``
+    (``_strategy_index``) at t1 * n2 + t2, then the two slack blocks.  A
+    pair's column holds exactly one 1 per sequence, at the row of the
+    outcome string its two strategies give, so all row indices come from
+    one broadcast of the per-side outcome indices.  This is the LP's first
+    use of scipy, so it calls ``_load_scipy``.
     """
     _load_scipy()
     quantum = hvmodels.QuantumTables(rho, lp_ctx)
     seqs = list(lp_ctx.collected_sequences())
     tables = [quantum.collected(c1, c2) for c1, c2 in seqs]
     b_vec = np.concatenate([t.ravel() for t in tables])
-    side1, side2 = (
-        {(): np.zeros(len(s.space), dtype=np.intp), **s.index[side]}
-        for side, s in ((1, s1), (2, s2))
-    )
     idx1 = np.stack([side1[c1] for c1, _ in seqs])
     idx2 = np.stack([side2[c2] for _, c2 in seqs])
     width = np.array([t.shape[1] for t in tables])
     offset = np.cumsum([0] + [t.size for t in tables[:-1]])
     rows = (offset[:, None, None] + idx1[:, :, None] * width[:, None, None]
             + idx2[:, None, :])
-    n_seq, n_cols, n_rows = len(seqs), len(s1.space) * len(s2.space), b_vec.size
+    n_seq, n_cols, n_rows = len(seqs), len(side1[()]) * len(side2[()]), b_vec.size
     n_ones = n_cols * n_seq
     slack = np.arange(n_rows)
     indices = np.concatenate([rows.reshape(n_seq, n_cols).T.ravel(), slack, slack])
@@ -232,16 +224,15 @@ def lchv_feasibility(
             f"no sequence to decide: k={k} and the context caps allow no step"
         )
     lp_ctx = Context(ctx.side1, ctx.side2, k1, k2)
-    trees1, trees2 = (_strategies(lp_ctx, side, strategy_budget) for side in (1, 2))
-    n1, n2 = len(trees1), len(trees2)
+    strategies = {side: _strategy_index(lp_ctx, side, strategy_budget) for side in (1, 2)}
+    n1, n2 = (len(strategies[side][()]) for side in (1, 2))
     if n1 * n2 > strategy_budget:
         raise BudgetExceededError(
             f"{n1} x {n2} realized strategy pairs exceed budget {strategy_budget}"
         )
     log.info("feasibility LP over %d x %d strategies", n1, n2)
 
-    strategies = [_strategy_model(lp_ctx, side, t) for side, t in ((1, trees1), (2, trees2))]
-    a_eq, b_vec = _phase1_system(rho, lp_ctx, *strategies)  # loads scipy
+    a_eq, b_vec = _phase1_system(rho, lp_ctx, strategies[1], strategies[2])  # loads scipy
     n_cols = n1 * n2
     n_rows = b_vec.size
 
@@ -275,8 +266,8 @@ def lchv_feasibility(
         # the certificate model's atoms are the support's strategy pairs
         pairs = dict(zip((1, 2), np.divmod(support, n2)))
         index = {
-            side: {c: idx[pairs[side]] for c, idx in s.index[side].items()}
-            for side, s in zip((1, 2), strategies)
+            side: {c: idx[pairs[side]] for c, idx in strategies[side].items()}
+            for side in (1, 2)
         }
         atoms = tuple(f"s{rank}" for rank in range(support.size))
         space = FiniteSampleSpace(atoms, np.asarray(weights))
@@ -661,9 +652,7 @@ def classify_evidence(rho: DensityMatrix, lp_tol: float = LP_TOL) -> Classificat
 
     if fit is not None and dims[0] == dims[1] and dims[0] >= 3:
         d, c = fit
-        t_local = np.zeros((d, d), dtype=complex)
-        t_local[0, 0] = 1.0
-        t_local[1, 1] = 1.0
+        t_local = states.rank2_projector(d)
         value, settings = chsh_maximize(rho, t_local, t_local)
         if value > 2.0 + 1e-6:
             notes.append(

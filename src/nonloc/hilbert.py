@@ -67,10 +67,6 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def kron(a, b) -> np.ndarray:
     """Tensor product in row-major (subsystem-1 major) index convention."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))

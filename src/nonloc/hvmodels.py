@@ -854,8 +854,12 @@ def deterministic_to_stochastic(m: DeterministicModel) -> StochasticModel:
     return StochasticModel(m.space, m.context, kernels)
 
 
-def _realized_trees(seqs, kernels: dict, budget: int) -> list[tuple[dict, float]]:
-    """Every realized response tree of one side with its weight.
+def _realized_trees(
+    seqs, kernels: dict, budget: int, side: int
+) -> list[tuple[dict, float]]:
+    """Every realized response tree of one atom's side ``side``, with its
+    weight, for ``stochastic_to_deterministic`` (the LP's strategies are
+    mixed-radix digits instead, ``feasibility._strategy_index``).
 
     ``seqs`` are the side's non-empty choice sequences, each after its
     prefixes; ``kernels`` maps each reachable node (choices, past) to its
@@ -864,15 +868,19 @@ def _realized_trees(seqs, kernels: dict, budget: int) -> list[tuple[dict, float]
     instantiated together, and its weight is the product of the kernel
     probabilities it consumed; outcomes of probability zero start no tree.
     Trees come in lexicographic order of their responses to ``seqs``, each
-    response in its distribution's order.  Raises ``BudgetExceededError``
-    when there are more than ``budget`` trees.
+    response in its distribution's order.  Raises ``ValueError`` naming the
+    first reachable node's choices that have no kernel, and
+    ``BudgetExceededError`` when there are more than ``budget`` trees.
     """
     partial: list[tuple[dict, float]] = [({}, 1.0)]
     for choices in seqs:
         new = []
         for tree, weight in partial:
             past = tree[choices[:-1]] if len(choices) > 1 else ()
-            for out, p in kernels[(choices, past)].items():
+            dist = kernels.get((choices, past))
+            if dist is None:
+                raise ValueError(f"missing kernel at {_key_name(side, choices)}")
+            for out, p in dist.items():
                 if p <= 0.0:
                     continue
                 t = dict(tree)
@@ -907,7 +915,7 @@ def stochastic_to_deterministic(
         if float(w) == 0.0:
             continue
         trees1, trees2 = (
-            _realized_trees(seqs[side], s.kernels[atom].get(side, {}), atom_budget)
+            _realized_trees(seqs[side], s.kernels[atom].get(side, {}), atom_budget, side)
             for side in (1, 2)
         )
         if len(atoms) + len(trees1) * len(trees2) > atom_budget:
@@ -1235,20 +1243,26 @@ def model_to_json(m) -> dict:
 
 
 def model_from_json(obj: dict):
-    ctx = context_from_json(obj["context"])
+    """Decode a model; a missing field raises a ValueError that names it,
+    e.g. ``model has no field 'kernels'``."""
+    def field(key: str):
+        return hilbert.json_field(obj, key, "model")
+
+    ctx = context_from_json(field("context"))
     space = FiniteSampleSpace(
-        tuple(obj["atoms"]), np.asarray(obj["weights"], dtype=float)
+        tuple(field("atoms")), np.asarray(field("weights"), dtype=float)
     )
-    shape = obj["shape"]
+    shape = field("shape")
     if shape == "causal":
         responses = {
-            atom: _tree_from_json(tree, _segment_step) for atom, tree in obj["responses"].items()
+            atom: _tree_from_json(tree, _segment_step)
+            for atom, tree in field("responses").items()
         }
         return DeterministicModel.from_responses(space, shape, ctx, responses)
     if shape == "local_causal":
         responses = {
             atom: {side: _tree_from_json(trees[f"side{side}"], str) for side in (1, 2)}
-            for atom, trees in obj["responses"].items()
+            for atom, trees in field("responses").items()
         }
         return DeterministicModel.from_responses(space, shape, ctx, responses)
     if shape == "stochastic":
@@ -1260,7 +1274,7 @@ def model_from_json(obj: dict):
                 }
                 for side in (1, 2)
             }
-            for atom, sides in obj["kernels"].items()
+            for atom, sides in field("kernels").items()
         }
         return StochasticModel(space, ctx, kernels)
     raise ValueError(f"unknown model shape {shape!r}")

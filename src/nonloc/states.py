@@ -73,10 +73,6 @@ class DensityMatrix:
     matrix: np.ndarray
     dims: DimPair
 
-    @property
-    def total_dim(self) -> int:
-        return self.dims.total
-
 
 def make_density(matrix, dims: DimPair | tuple[int, int]) -> DensityMatrix:
     """Validate Hermiticity, unit trace, and positivity, then wrap."""
@@ -235,6 +231,14 @@ def collapse(rho: DensityMatrix, ops, outcome=None) -> DensityMatrix:
     if p <= PROB_FLOOR:
         raise ZeroProbabilityOutcome(p)
     return make_density(unnorm / p, rho.dims)
+
+
+def rank2_projector(d: int) -> np.ndarray:
+    """Projector onto span{|0>, |1>} in C^d, the local subspace that the
+    flip-family CHSH probes post-select on."""
+    t = np.zeros((d, d), dtype=complex)
+    t[0, 0] = t[1, 1] = 1.0
+    return t
 
 
 def collapsed_c_prime(d: int, c: float | Fraction) -> float | Fraction:

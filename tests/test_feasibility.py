@@ -16,8 +16,7 @@ from nonloc.feasibility import (
     LpNumericalFailure,
     _phase1_system,
     _row_labels,
-    _strategies,
-    _strategy_model,
+    _strategy_index,
     bell_polytope_oracle,
     chsh_maximize,
     chsh_value,
@@ -36,6 +35,7 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 MZ = OperationFamily.ideal(pauli("z"), "mz")
 MX = OperationFamily.ideal(pauli("x"), "mx")
+MY = OperationFamily.ideal(pauli("y"), "my")
 # three- and two-outcome qutrit observables, and a smeared (non-ideal) x
 Q3 = OperationFamily.ideal(
     Observable.from_matrix(np.diag([1.0, 0.0, -1.0]).astype(complex), "q3")
@@ -73,19 +73,19 @@ def diag_product(p1: float, p2: float) -> states.DensityMatrix:
     return states.make_density(np.kron(a, b), (2, 2))
 
 
-def side_trees(families, k: int, budget: int = 10**6) -> list[dict]:
-    """The LP's strategies for ``families`` on side 1 with cap ``k``."""
-    return _strategies(Context(families, (), k, 0), 1, budget)
+def side_index(families, k: int, budget: int = 10**6) -> dict:
+    """The LP's strategy index arrays for ``families`` on side 1 with cap ``k``."""
+    return _strategy_index(Context(families, (), k, 0), 1, budget)
 
 
-def n_trees(families, k: int) -> int:
-    return len(side_trees(families, k))
+def n_strategies(families, k: int) -> int:
+    return len(side_index(families, k)[()])
 
 
 def reference_side_trees(families, k: int) -> list[dict]:
     """Realized trees grown one choice sequence at a time, every outcome of
     the sequence's last family appended to every partial tree's response to
-    its prefix (the enumeration the LP used before the shared walker)."""
+    its prefix (the enumeration the LP used before the mixed-radix digits)."""
     by_name = {f.name: f for f in families}
     names = tuple(by_name)
     partial: list[dict[tuple[str, ...], tuple[str, ...]]] = [{}]
@@ -102,51 +102,75 @@ def reference_side_trees(families, k: int) -> list[dict]:
     return partial
 
 
+def lp_side_trees(lp_ctx: Context, side: int) -> list[dict]:
+    cap = lp_ctx.max_len1 if side == 1 else lp_ctx.max_len2
+    return reference_side_trees(lp_ctx.families(side), cap)
+
+
+def assert_matches_reference_trees(lp_ctx: Context, side: int) -> None:
+    """``_strategy_index`` holds, in tree order, each reference tree's
+    response to every choice sequence as its index among the sequence's
+    outcome strings in label-product order (zeros at ``()``)."""
+    trees = lp_side_trees(lp_ctx, side)
+    labels = lp_ctx.labels(side)
+    out = {(): np.zeros(len(trees), dtype=np.intp)}
+    for choices in lp_ctx.choice_sequences(side)[1:]:
+        strings = list(itertools.product(*(labels[n] for n in choices)))
+        out[choices] = np.array([strings.index(t[choices]) for t in trees])
+    index = _strategy_index(lp_ctx, side, 10**6)
+    assert list(index) == list(out)
+    for choices, want in out.items():
+        assert np.array_equal(index[choices], want)
+
+
 class TestStrategyEnumeration:
     def test_single_family_depth_one(self):
-        assert n_trees((MZ,), 1) == 2
+        assert n_strategies((MZ,), 1) == 2
 
     def test_two_families_depth_one(self):
-        assert n_trees((MZ, MX), 1) == 4
+        assert n_strategies((MZ, MX), 1) == 4
 
     def test_realized_count_is_product_over_choice_sequences(self):
         # one response per own-side choice sequence, whatever the past
         for fams, k, want in (((MZ, MX), 2, 2**6), ((MZ,), 3, 2**3),
                               ((Q3, Q2), 2, 3 * 2 * 3 * 2 * 3 * 2)):
-            assert n_trees(fams, k) == want
+            assert n_strategies(fams, k) == want
 
     def test_depth_two_exceeds_budget(self):
         with pytest.raises(BudgetExceededError):
-            side_trees((MZ, MX), 2, 63)
-        assert len(side_trees((MZ, MX), 2, 64)) == 64
+            side_index((MZ, MX), 2, 63)
+        assert len(side_index((MZ, MX), 2, 64)[()]) == 64
+
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_over_budget_side_raises_before_enumerating(self, k):
+        # z/x/y has 2**12 = 4096 strategies at k=2, and 2**9840 at k=8,
+        # more than any array could hold: the count is checked first
+        with pytest.raises(BudgetExceededError,
+                           match=r"^realized response trees exceed budget 1000$"):
+            side_index((MZ, MX, MY), k, 10**3)
 
     def test_single_family_depth_two(self):
-        # the second z outcome repeats the first: 8 full trees, 4 realized
-        trees = side_trees((MZ,), 2)
-        assert [t[("mz", "mz")] for t in trees] == [
-            ("+1", "+1"), ("+1", "-1"), ("-1", "+1"), ("-1", "-1")
-        ]
+        # the second z outcome repeats the first: 8 full trees, 4 realized,
+        # answering ("+1", "+1"), ("+1", "-1"), ("-1", "+1"), ("-1", "-1")
+        assert side_index((MZ,), 2)[("mz", "mz")].tolist() == [0, 1, 2, 3]
 
     def test_realized_trees_collapse_duplicates(self):
-        realized = side_trees((MZ, MX), 2)
-        assert len(realized) == 64
-        assert len({tuple(sorted(t.items())) for t in realized}) == 64
+        index = side_index((MZ, MX), 2)
+        responses = np.stack([idx for c, idx in index.items() if c], axis=1)
+        assert len(np.unique(responses, axis=0)) == 64
 
     def test_realized_is_prefix_consistent(self):
-        for tree in side_trees((MZ, MX), 2):
-            assert len(tree) == 6
-            for choices, outs in tree.items():
-                assert len(choices) == len(outs)
-                if len(choices) > 1:
-                    assert tree[choices[:-1]] == outs[:-1]
+        index = side_index((MZ, MX), 2)
+        assert len(index) == 1 + 6
+        for choices, idx in index.items():
+            if choices:
+                assert idx.dtype == np.intp
+                assert np.array_equal(idx // 2, index[choices[:-1]])
 
     @pytest.mark.parametrize("families", [(MZ,), (MZ, MX), (Q3, Q2)])
     @pytest.mark.parametrize("k", [1, 2])
     def test_walker_matches_reference_order(self, families, k):
-        trees = side_trees(families, k)
-        assert [list(t.items()) for t in trees] == [
-            list(t.items()) for t in reference_side_trees(families, k)
-        ]
+        assert_matches_reference_trees(Context(families, (), k, 0), 1)
 
 
 def reference_system(rho, lp_ctx: Context, trees1, trees2):
@@ -178,12 +202,17 @@ ASSEMBLY_CASES = {
 
 class TestPhase1System:
     @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_strategies_match_reference_trees(self, case, side):
+        assert_matches_reference_trees(ASSEMBLY_CASES[case][0], side)
+
+    @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
     def test_matches_row_by_row_reference(self, case):
         lp_ctx, dims = ASSEMBLY_CASES[case]
         rho = acceptance._random_density(np.random.default_rng(len(case)), *dims)
-        trees1, trees2 = (_strategies(lp_ctx, side, 10**6) for side in (1, 2))
-        a_eq, b_vec = _phase1_system(rho, lp_ctx, _strategy_model(lp_ctx, 1, trees1),
-                                     _strategy_model(lp_ctx, 2, trees2))
+        side1, side2 = (_strategy_index(lp_ctx, side, 10**6) for side in (1, 2))
+        a_eq, b_vec = _phase1_system(rho, lp_ctx, side1, side2)
+        trees1, trees2 = (lp_side_trees(lp_ctx, side) for side in (1, 2))
         a_ref, b_ref, labels = reference_system(rho, lp_ctx, trees1, trees2)
         n_rows, n_cols = a_ref.shape
         assert n_cols == len(trees1) * len(trees2)
@@ -350,6 +379,18 @@ class TestLchvFeasibility:
         with pytest.raises(BudgetExceededError):
             lchv_feasibility(
                 states.singlet(), qubit_pair_ctx(2), 2, strategy_budget=10
+            )
+
+    def test_pair_budget_checked_after_sides(self, monkeypatch):
+        # each side's 64 strategies fit, their 4096 pairs do not; no LP is set up
+        def no_system(*args):
+            raise AssertionError("phase-1 system built past the pair budget")
+
+        monkeypatch.setattr(feasibility, "_phase1_system", no_system)
+        with pytest.raises(BudgetExceededError,
+                           match=r"^64 x 64 realized strategy pairs exceed budget 4095$"):
+            lchv_feasibility(
+                states.singlet(), qubit_pair_ctx(2), 2, strategy_budget=4095
             )
 
     def test_result_json_keys(self):

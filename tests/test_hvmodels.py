@@ -353,6 +353,23 @@ class TestFineTranslations:
         assert table[("v", "u")] == pytest.approx(0.35, abs=1e-14)
         assert table[("v", "v")] == pytest.approx(0.35, abs=1e-14)
 
+    def test_missing_kernel_is_named(self):
+        # side 1 reaches mz/mz, but only the length-1 kernel is given; the
+        # weight-0 atom without any kernel is skipped
+        ctx = Context((MZ,), (MZ,), 2, 1)
+        kernels = {
+            "a": {1: {(("mz",), ()): {"+1": 0.5, "-1": 0.5}},
+                  2: {(("mz",), ()): {"+1": 1.0}}},
+            "b": {},
+        }
+        space = FiniteSampleSpace(("a", "b"), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"^missing kernel at 1:mz/1:mz$"):
+            stochastic_to_deterministic(StochasticModel(space, ctx, kernels))
+        for past in ("+1", "-1"):
+            kernels["a"][1][(("mz", "mz"), (past,))] = {past: 1.0}
+        det = stochastic_to_deterministic(StochasticModel(space, ctx, kernels))
+        assert det.space.atoms == ("a|t0|t0", "a|t1|t0")
+
     def test_instantiation_budget(self):
         m = product_local_model(
             np.eye(2, dtype=complex) / 2,
@@ -840,6 +857,17 @@ class TestModelJson:
         assert not rep.passed
         assert rep.structural["responses_read_only_past"] is False
         assert rep.worst_sequence == "/".join(f"2:{n}" for n in key.split("/")[0::2])
+
+    @pytest.mark.parametrize(
+        "key", ["context", "atoms", "weights", "shape", "responses", "kernels"]
+    )
+    def test_missing_field_is_named(self, key):
+        m = product_local_model(np.diag([0.7, 0.3]).astype(complex),
+                                np.diag([0.6, 0.4]).astype(complex), z_only_ctx(1))
+        obj = model_to_json(deterministic_to_stochastic(m) if key == "kernels" else m)
+        del obj[key]
+        with pytest.raises(ValueError, match=f"^model has no field '{key}'$"):
+            model_from_json(obj)
 
     def test_stochastic_round_trip(self):
         m = product_local_model(
