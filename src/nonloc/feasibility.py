@@ -143,38 +143,62 @@ def result_to_json(res: FeasibilityResult) -> dict:
 
 
 def _phase1_system(
-    rho: DensityMatrix, lp_ctx: Context, side1: dict, side2: dict
+    quantum: hvmodels.QuantumTables, side1: dict, side2: dict
 ) -> tuple[sparse.csc_array, np.ndarray]:
-    """Equality constraints [kron(S1, S2) | I | -I] x = b of the phase-1 LP.
+    """Equality constraints [A | I | -I] x = b of the phase-1 LP, with the
+    state and context of ``quantum``.
 
-    Rows are the outcome strings of every collected sequence, each in
-    label-product order with the first step most significant (the order of
-    ``measurement.sequence_distribution``); ``b`` holds their
-    probabilities, from ``hvmodels.QuantumTables``.  Columns are the
-    pairs (t1, t2) of the strategies indexed by ``side1`` and ``side2``
-    (``_strategy_index``) at t1 * n2 + t2, then the two slack blocks.  A
-    pair's column holds exactly one 1 per sequence, at the row of the
-    outcome string its two strategies give, so all row indices come from
-    one broadcast of the per-side outcome indices.  This is the LP's first
-    use of scipy, so it calls ``_load_scipy``.
+    Rows are the Collins–Gisin rows of the collected tables (D. Collins and
+    N. Gisin, J. Phys. A 37, 1775 (2004)).  One side's events are the empty
+    event and, for each own-side choice sequence c, the outcome strings
+    whose last outcome is not the last label of c's last family.  First
+    comes the normalization (1 in every strategy column, target tr rho = 1),
+    then, per collected sequence in order, the outcome strings whose two
+    per-side strings are both events, in label-product order with the first
+    step most significant.  Each family's effects sum to the identity, so
+    summing a sequence's strings over their last outcome gives its prefix's
+    string: every other string's row and target are sums and differences of
+    the kept ones, for the strategies and the quantum tables alike, and the
+    kept rows are independent.  ``b`` holds their probabilities, from
+    ``quantum``.
+
+    Columns are the pairs (t1, t2) of the strategies indexed by ``side1``
+    and ``side2`` (``_strategy_index``) at t1 * n2 + t2, then the two slack
+    blocks.  A pair's column holds a 1 at the row of the outcome string its
+    two strategies give on each sequence, when both are events, so all row
+    indices come from one broadcast of the per-side outcome indices.  Every
+    string is some strategy's answer, so the rows hit are exactly the kept
+    ones.  This is the LP's first use of scipy, so it calls ``_load_scipy``.
     """
     _load_scipy()
-    quantum = hvmodels.QuantumTables(rho, lp_ctx)
-    seqs = list(lp_ctx.collected_sequences())
+    lp_ctx = quantum.context
+    seqs = [((), ()), *lp_ctx.collected_sequences()]
     tables = [quantum.collected(c1, c2) for c1, c2 in seqs]
-    b_vec = np.concatenate([t.ravel() for t in tables])
     idx1 = np.stack([side1[c1] for c1, _ in seqs])
     idx2 = np.stack([side2[c2] for _, c2 in seqs])
     width = np.array([t.shape[1] for t in tables])
     offset = np.cumsum([0] + [t.size for t in tables[:-1]])
+    # outcome count of each sequence's last family per side; with no step
+    # the one string (index 0) is the empty event, which any count > 1 keeps
+    labels1, labels2 = lp_ctx.labels(1), lp_ctx.labels(2)
+    radix1 = np.array([len(labels1[c1[-1]]) if c1 else 2 for c1, _ in seqs])[:, None]
+    radix2 = np.array([len(labels2[c2[-1]]) if c2 else 2 for _, c2 in seqs])[:, None]
+    event1 = idx1 % radix1 != radix1 - 1
+    event2 = idx2 % radix2 != radix2 - 1
+    n_seq, n_cols = len(seqs), len(side1[()]) * len(side2[()])
     rows = (offset[:, None, None] + idx1[:, :, None] * width[:, None, None]
-            + idx2[:, None, :])
-    n_seq, n_cols, n_rows = len(seqs), len(side1[()]) * len(side2[()]), b_vec.size
-    n_ones = n_cols * n_seq
+            + idx2[:, None, :]).reshape(n_seq, n_cols).T
+    hit = (event1[:, :, None] & event2[:, None, :]).reshape(n_seq, n_cols).T
+    hit_rows = rows[hit]
+    keep = np.zeros(sum(t.size for t in tables), dtype=bool)
+    keep[hit_rows] = True
+    b_vec = np.concatenate([t.ravel() for t in tables])[keep]
+    n_rows, n_ones = b_vec.size, hit_rows.size
     slack = np.arange(n_rows)
-    indices = np.concatenate([rows.reshape(n_seq, n_cols).T.ravel(), slack, slack])
+    indices = np.concatenate([(np.cumsum(keep) - 1)[hit_rows], slack, slack])
     indptr = np.concatenate(
-        [np.arange(0, n_ones, n_seq), n_ones + np.arange(2 * n_rows + 1)]
+        [[0], np.cumsum(np.count_nonzero(hit, axis=1)),
+         n_ones + np.arange(1, 2 * n_rows + 1)]
     )
     data = np.concatenate([np.ones(n_ones + n_rows), -np.ones(n_rows)])
     shape = (n_rows, n_cols + 2 * n_rows)
@@ -182,12 +206,19 @@ def _phase1_system(
 
 
 def _row_labels(lp_ctx: Context) -> list[str]:
-    """Constraint-row labels ``side:family=outcome/...``, in row order."""
-    out = []
+    """Constraint-row labels in row order (see ``_phase1_system``):
+    ``"normalization"``, then each kept outcome string as
+    ``side:family=outcome/...``."""
+    out = ["normalization"]
     for c1, c2 in lp_ctx.collected_sequences():
         path = [(1, n) for n in c1] + [(2, n) for n in c2]
-        for outs in itertools.product(*(lp_ctx.family(s, n).labels for s, n in path)):
-            out.append("/".join(f"{s}:{n}={o}" for (s, n), o in zip(path, outs)))
+        labels = [lp_ctx.family(s, n).labels for s, n in path]
+        # each side's last step: a string ending there in its last label
+        # is no event
+        lasts = [i for i, c in ((len(c1) - 1, c1), (len(path) - 1, c2)) if c]
+        for outs in itertools.product(*labels):
+            if all(outs[i] != labels[i][-1] for i in lasts):
+                out.append("/".join(f"{s}:{n}={o}" for (s, n), o in zip(path, outs)))
     return out
 
 
@@ -203,17 +234,22 @@ def lchv_feasibility(
 
     Phase-1 LP: minimize the total slack needed to express every sequence
     probability as a mixture of deterministic local strategies.  The
-    constraint matrix is the sparse Kronecker product of the two sides'
-    strategy indicator matrices, and the targets are the collected quantum
-    tables (see ``_phase1_system``).
+    constraints are the Collins–Gisin rows of the collected tables, the
+    normalization and the products of per-side events, which determine every
+    other row (see ``_phase1_system``): 121 of 440 rows at k=2 with two
+    two-outcome families per side.  One ``hvmodels.QuantumTables`` serves
+    the targets and the certificate's verification.
 
     An optimum at most ``lp_tol`` counts as feasible: the certificate is
     re-fit by nonnegative least squares on the LP's optimal face (the
     strategy pairs with positive weight or with reduced cost at most
-    ``lp_tol``), and the resulting model verified.  An optimum of at least
-    ``100 * lp_tol`` counts as infeasible, with the phase-1 dual reported as
-    a separating functional whose separation must clear the same margin.
-    Anything between raises ``LpNumericalFailure``.
+    ``lp_tol``), and the resulting model verified against every full
+    collected table, which also checks the row reduction.  An optimum of at
+    least ``100 * lp_tol`` counts as infeasible, with the phase-1 dual
+    reported as a separating functional over the row labels of
+    ``_row_labels`` (``"normalization"`` and ``side:family=outcome/...``),
+    whose separation must clear the same margin.  Anything between raises
+    ``LpNumericalFailure``.
     """
     if ctx.dims != rho.dims:
         raise ValueError("context dims do not match state dims")
@@ -232,7 +268,8 @@ def lchv_feasibility(
         )
     log.info("feasibility LP over %d x %d strategies", n1, n2)
 
-    a_eq, b_vec = _phase1_system(rho, lp_ctx, strategies[1], strategies[2])  # loads scipy
+    quantum = hvmodels.QuantumTables(rho, lp_ctx)
+    a_eq, b_vec = _phase1_system(quantum, strategies[1], strategies[2])  # loads scipy
     n_cols = n1 * n2
     n_rows = b_vec.size
 
@@ -272,7 +309,7 @@ def lchv_feasibility(
         atoms = tuple(f"s{rank}" for rank in range(support.size))
         space = FiniteSampleSpace(atoms, np.asarray(weights))
         model = DeterministicModel(space, "local_causal", lp_ctx, index)
-        report = hvmodels.verify_model(model, rho, tol=model_tol)
+        report = hvmodels.verify_model(model, rho, tol=model_tol, quantum=quantum)
         if not report.passed:
             raise LpNumericalFailure(
                 f"certificate model failed verification: {report.summary()}",

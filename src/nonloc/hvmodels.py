@@ -1037,12 +1037,14 @@ class QuantumTables:
     per-side choices with the outcomes re-ordered to the path's time order.
     Outcome strings are in label-product order, first step most significant,
     as the Kraus-product reference ``measurement.sequence_distribution`` of
-    the path's (side, family) steps lists them.
+    the path's (side, family) steps lists them.  ``state`` and ``context``
+    are the inputs the tables were built from.
     """
 
     def __init__(self, rho: DensityMatrix, ctx: Context):
         if ctx.dims != rho.dims:
             raise ValueError("model context dims do not match the state")
+        self.state, self.context = rho, ctx
         d1, d2 = rho.dims.d1, rho.dims.d2
         self._rho = rho.matrix.reshape(d1, d2, d1, d2)
         self._labels = _step_labels(ctx)
@@ -1061,7 +1063,11 @@ class QuantumTables:
 
 
 def verify_model(
-    m, rho: DensityMatrix, tol: float = DEFAULT_VERIFY_TOL
+    m,
+    rho: DensityMatrix,
+    tol: float = DEFAULT_VERIFY_TOL,
+    *,
+    quantum: QuantumTables | None = None,
 ) -> VerificationReport:
     """Compare a model's sequence distributions with the quantum ones.
 
@@ -1071,7 +1077,9 @@ def verify_model(
     responses are interleaving-invariant and the two sides' operators
     commute.  Every outcome of every sequence is compared.
 
-    Quantum tables come from ``QuantumTables``.  A deterministic model's
+    Quantum tables come from ``quantum``, or from a new ``QuantumTables``
+    when it is None; tables built for another state or context object than
+    ``rho`` and ``m.context`` raise ``ValueError``.  A deterministic model's
     table is a weighted ``bincount`` of its stored outcome-string indices,
     which are well formed by construction.  For a stochastic model one pass
     over (atom, key) gives each key's (atoms x outcome strings) chain-rule
@@ -1082,7 +1090,10 @@ def verify_model(
     ``worst_sequence``.
     """
     ctx = m.context
-    quantum = QuantumTables(rho, ctx)
+    if quantum is None:
+        quantum = QuantumTables(rho, ctx)
+    elif quantum.state is not rho or quantum.context is not ctx:
+        raise ValueError("quantum tables were built for another state or context")
     labels = _step_labels(ctx)
     if m.shape == "causal":
         paths = list(ctx.interleaved_sequences())
@@ -1242,6 +1253,10 @@ def model_to_json(m) -> dict:
     return base
 
 
+def _atom_side(entry, atom: str, side: int):
+    return hilbert.json_field(entry, f"side{side}", f"model atom {atom!r}")
+
+
 def model_from_json(obj: dict):
     """Decode a model; a missing field raises a ValueError that names it,
     e.g. ``model has no field 'kernels'``."""
@@ -1261,7 +1276,10 @@ def model_from_json(obj: dict):
         return DeterministicModel.from_responses(space, shape, ctx, responses)
     if shape == "local_causal":
         responses = {
-            atom: {side: _tree_from_json(trees[f"side{side}"], str) for side in (1, 2)}
+            atom: {
+                side: _tree_from_json(_atom_side(trees, atom, side), str)
+                for side in (1, 2)
+            }
             for atom, trees in field("responses").items()
         }
         return DeterministicModel.from_responses(space, shape, ctx, responses)
@@ -1270,7 +1288,7 @@ def model_from_json(obj: dict):
             atom: {
                 side: {
                     _node_from_key(key): {k: float(v) for k, v in dist.items()}
-                    for key, dist in sides[f"side{side}"].items()
+                    for key, dist in _atom_side(sides, atom, side).items()
                 }
                 for side in (1, 2)
             }

@@ -133,8 +133,9 @@ class TestLhvCheck:
         assert code == 0
         feas = report["results"]["feasibility"]
         assert feas["status"] == "infeasible"
+        # the CHSH gap in Collins–Gisin form: (2 sqrt(2) - 2) / 4
         assert feas["witness"]["separation"] == pytest.approx(
-            2 * RT2 - 2, abs=1e-6
+            (RT2 - 1) / 2, abs=1e-6
         )
 
 

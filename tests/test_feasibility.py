@@ -174,9 +174,12 @@ class TestStrategyEnumeration:
 
 
 def reference_system(rho, lp_ctx: Context, trees1, trees2):
-    """Dense phase-1 system built row by row from tree masks and
-    ``sequence_distribution``: (strategy columns, targets, row labels)."""
-    rows, targets, labels = [], [], []
+    """Dense full phase-1 system built row by row from tree masks and
+    ``sequence_distribution``, one row per outcome string of every collected
+    sequence: (strategy columns, targets, row labels, Collins–Gisin rows).
+    A row is a Collins–Gisin row when on each side with steps its last
+    outcome is not the last label of that side's last family."""
+    rows, targets, labels, events = [], [], [], []
     for c1, c2 in lp_ctx.collected_sequences():
         path = [(1, n) for n in c1] + [(2, n) for n in c2]
         steps = [(s, lp_ctx.family(s, n)) for s, n in path]
@@ -187,7 +190,29 @@ def reference_system(rho, lp_ctx: Context, trees1, trees2):
             rows.append(np.outer(mask1, mask2).ravel())
             targets.append(prob)
             labels.append("/".join(f"{s}:{n}={o}" for (s, n), o in zip(path, outs)))
-    return np.array(rows), np.array(targets), labels
+            events.append(all(
+                not c or o[-1] != lp_ctx.family(side, c[-1]).labels[-1]
+                for side, c, o in ((1, c1, o1), (2, c2, o2))
+            ))
+    return np.array(rows), np.array(targets), labels, np.array(events)
+
+
+def reference_verdict(rho, lp_ctx: Context) -> str:
+    """Phase-1 verdict of the full reference system [A | I | -I] x = b."""
+    from scipy.optimize import linprog
+
+    trees1, trees2 = (lp_side_trees(lp_ctx, side) for side in (1, 2))
+    a_ref, b_ref, _, _ = reference_system(rho, lp_ctx, trees1, trees2)
+    n_rows = b_ref.size
+    eye = np.eye(n_rows)
+    cost = np.concatenate([np.zeros(a_ref.shape[1]), np.ones(2 * n_rows)])
+    res = linprog(cost, A_eq=np.hstack([a_ref, eye, -eye]), b_eq=b_ref,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    if res.fun <= LP_TOL:
+        return "feasible"
+    assert res.fun >= 100 * LP_TOL
+    return "infeasible"
 
 
 ASSEMBLY_CASES = {
@@ -206,22 +231,48 @@ class TestPhase1System:
     def test_strategies_match_reference_trees(self, case, side):
         assert_matches_reference_trees(ASSEMBLY_CASES[case][0], side)
 
-    @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
-    def test_matches_row_by_row_reference(self, case):
+    @staticmethod
+    def systems(case):
+        """(LP system, full reference system) of one assembly case."""
         lp_ctx, dims = ASSEMBLY_CASES[case]
         rho = acceptance._random_density(np.random.default_rng(len(case)), *dims)
         side1, side2 = (_strategy_index(lp_ctx, side, 10**6) for side in (1, 2))
-        a_eq, b_vec = _phase1_system(rho, lp_ctx, side1, side2)
+        system = _phase1_system(hvmodels.QuantumTables(rho, lp_ctx), side1, side2)
         trees1, trees2 = (lp_side_trees(lp_ctx, side) for side in (1, 2))
-        a_ref, b_ref, labels = reference_system(rho, lp_ctx, trees1, trees2)
-        n_rows, n_cols = a_ref.shape
-        assert n_cols == len(trees1) * len(trees2)
+        return system, reference_system(rho, lp_ctx, trees1, trees2)
+
+    @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+    def test_matches_row_by_row_reference(self, case):
+        (a_eq, b_vec), (a_ref, b_ref, labels, events) = self.systems(case)
+        n_cols = a_ref.shape[1]
+        # the normalization row first, then the reference's Collins–Gisin rows
+        a_cg = np.vstack([np.ones(n_cols), a_ref[events]])
+        b_cg = np.concatenate([[1.0], b_ref[events]])
+        n_rows = b_cg.size
         assert a_eq.shape == (n_rows, n_cols + 2 * n_rows)
-        assert np.array_equal(a_eq[:, :n_cols].toarray(), a_ref)
+        assert np.array_equal(a_eq[:, :n_cols].toarray(), a_cg)
         eye = np.eye(n_rows)
         assert np.array_equal(a_eq[:, n_cols:].toarray(), np.hstack([eye, -eye]))
-        assert np.max(np.abs(b_vec - b_ref)) <= 1e-12
-        assert _row_labels(lp_ctx) == labels
+        assert np.max(np.abs(b_vec - b_cg)) <= 1e-12
+        lp_ctx = ASSEMBLY_CASES[case][0]
+        assert _row_labels(lp_ctx) == ["normalization"] + [
+            lab for lab, kept in zip(labels, events) if kept
+        ]
+
+    @pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+    def test_row_count_is_full_rank(self, case):
+        (a_eq, b_vec), (a_ref, _, _, _) = self.systems(case)
+        n_cols = a_ref.shape[1]
+        # the kept rows are independent and span every row of the full system
+        assert np.linalg.matrix_rank(a_eq[:, :n_cols].toarray()) == b_vec.size
+        assert np.linalg.matrix_rank(a_ref) == b_vec.size
+
+
+def random_involution_ctx(c: float) -> Context:
+    """Two random involutions per side, caps 2, seeded by ``c``."""
+    rng = np.random.default_rng(int(100 * c))
+    mats = [acceptance._random_involution(rng) for _ in range(4)]
+    return acceptance._involution_context(mats[:2], mats[2:], 2)
 
 
 class TestCertificateRefit:
@@ -235,10 +286,7 @@ class TestCertificateRefit:
             return real_nnls(a, b)
 
         monkeypatch.setattr(feasibility, "nnls", recording_nnls)
-        rng = np.random.default_rng(int(100 * c))
-        mats = [acceptance._random_involution(rng) for _ in range(4)]
-        ctx = acceptance._involution_context(mats[:2], mats[2:], 2)
-        res = lchv_feasibility(states.werner_gen(2, c), ctx, 2)
+        res = lchv_feasibility(states.werner_gen(2, c), random_involution_ctx(c), 2)
         assert res.status == "feasible"
         assert res.max_residual <= LP_TOL
         assert res.report is not None and res.report.passed
@@ -250,14 +298,30 @@ class TestCertificateRefit:
             res = lchv_feasibility(states.werner_gen(2, 0.2), qubit_pair_ctx(1), 1)
         lines = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
         assert len(lines) == 1
-        # 8 sequences: one nonzero each in 16 strategy columns, 48 slack ones
+        # 3 x 3 events: the normalization row holds 16 strategy ones, each of
+        # the 4 one-sided rows 8 and the 4 two-sided rows 4; 18 slack ones
         found = re.fullmatch(
-            r"feasibility LP: 24 rows, 176 nonzeros, (\d+) face columns, "
+            r"feasibility LP: 9 rows, 82 nonzeros, (\d+) face columns, "
             r"certificate support (\d+)", lines[0]
         )
         assert found is not None
         face, support = map(int, found.groups())
         assert support == len(res.certificate) <= face <= 16
+
+
+class TestFullSystemVerdict:
+    """The Collins–Gisin LP decides as the LP over every outcome string."""
+
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.25])
+    def test_werner_random_settings_depth_two(self, c):
+        ctx, rho = random_involution_ctx(c), states.werner_gen(2, c)
+        assert lchv_feasibility(rho, ctx, 2).status == reference_verdict(rho, ctx)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_singlet(self, k):
+        ctx = chsh_angle_ctx(k)
+        res = lchv_feasibility(states.singlet(), ctx, k)
+        assert res.status == reference_verdict(states.singlet(), ctx) == "infeasible"
 
 
 class TestWitnessMargin:
@@ -351,9 +415,11 @@ class TestLchvFeasibility:
         res = lchv_feasibility(states.singlet(), chsh_angle_ctx(1), 1)
         assert res.status == "infeasible"
         assert res.witness is not None
-        # dual separation reproduces the CHSH gap 2*sqrt(2) - 2
+        # dual separation reproduces the CHSH gap in Collins–Gisin form:
+        # CHSH = 4 I + 2 for the functional I over events, so the gap of
+        # 2*sqrt(2) - 2 becomes (sqrt(2) - 1) / 2
         assert res.witness["separation"] == pytest.approx(
-            2.0 * RT2 - 2.0, abs=1e-6
+            (RT2 - 1.0) / 2.0, abs=1e-6
         )
         assert res.witness["value_on_targets"] > res.witness["max_on_strategies"]
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -557,6 +558,22 @@ class TestQuantumTables:
         with pytest.raises(ValueError):
             hvmodels.QuantumTables(states.werner(3), qubit_pair_ctx(1))
 
+    def test_verify_model_reads_given_tables(self):
+        rho = diag_product(0.7, 0.6)
+        m = product_local_model(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]), qubit_pair_ctx(2))
+        tables = hvmodels.QuantumTables(rho, m.context)
+        assert verify_model(m, rho, quantum=tables) == verify_model(m, rho)
+
+    @pytest.mark.parametrize("other", ["state", "context"])
+    def test_verify_model_rejects_tables_of_other_inputs(self, other):
+        rho = diag_product(0.7, 0.6)
+        m = product_local_model(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]), qubit_pair_ctx(1))
+        # an equal but distinct object is still another input
+        tables = (hvmodels.QuantumTables(diag_product(0.7, 0.6), m.context) if other == "state"
+                  else hvmodels.QuantumTables(rho, qubit_pair_ctx(1)))
+        with pytest.raises(ValueError, match="another state or context"):
+            verify_model(m, rho, quantum=tables)
+
 
 # Per-atom loops computing the model tables one sequence at a time; the array
 # engine behind distribution_* must reproduce them.
@@ -867,6 +884,19 @@ class TestModelJson:
         obj = model_to_json(deterministic_to_stochastic(m) if key == "kernels" else m)
         del obj[key]
         with pytest.raises(ValueError, match=f"^model has no field '{key}'$"):
+            model_from_json(obj)
+
+    @pytest.mark.parametrize("shape", ["local_causal", "stochastic"])
+    def test_missing_side_is_named(self, shape):
+        m = product_local_model(np.diag([0.7, 0.3]).astype(complex),
+                                np.diag([0.6, 0.4]).astype(complex), z_only_ctx(1))
+        if shape == "stochastic":
+            m = deterministic_to_stochastic(m)
+        obj = model_to_json(m)
+        atom = m.space.atoms[0]
+        del obj["responses" if shape == "local_causal" else "kernels"][atom]["side2"]
+        with pytest.raises(ValueError,
+                           match=re.escape(f"model atom '{atom}' has no field 'side2'")):
             model_from_json(obj)
 
     def test_stochastic_round_trip(self):
