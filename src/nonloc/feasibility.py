@@ -241,9 +241,10 @@ def lchv_feasibility(
     the targets and the certificate's verification.
 
     An optimum at most ``lp_tol`` counts as feasible: the certificate is
-    re-fit by nonnegative least squares on the LP's optimal face (the
-    strategy pairs with positive weight or with reduced cost at most
-    ``lp_tol``), and the resulting model verified against every full
+    re-fit by nonnegative least squares on the HiGHS basis (the strategy
+    pairs with positive weight), or, when that residual exceeds ``lp_tol``,
+    on the LP's optimal face (those pairs and the ones with reduced cost at
+    most ``lp_tol``), and the resulting model verified against every full
     collected table, which also checks the row reduction.  An optimum of at
     least ``100 * lp_tol`` counts as infeasible, with the phase-1 dual
     reported as a separating functional over the row labels of
@@ -281,24 +282,28 @@ def lchv_feasibility(
     log.info("phase-1 optimum %.3e", opt)
 
     if opt <= lp_tol:
-        face = np.flatnonzero(
-            (res.x[:n_cols] > 0) | (res.lower.marginals[:n_cols] <= lp_tol)
-        )
-        a_face = a_eq[:, face].toarray()
-        x_face, _ = nnls(a_face, b_vec)
-        residual = float(np.max(np.abs(a_face @ x_face - b_vec)))
-        if residual > lp_tol:
+        on_vertex = res.x[:n_cols] > 0
+        basis = np.flatnonzero(on_vertex)
+        face = np.flatnonzero(on_vertex | (res.lower.marginals[:n_cols] <= lp_tol))
+        # the vertex is feasible only to HiGHS's primal tolerance, not lp_tol
+        for refit, cols in (("basis", basis), ("face", face)):
+            a_cols = a_eq[:, cols].toarray()
+            x_cols, _ = nnls(a_cols, b_vec)
+            residual = float(np.max(np.abs(a_cols @ x_cols - b_vec)))
+            if residual <= lp_tol:
+                break
+        else:
             raise LpNumericalFailure(
                 f"certificate refinement residual {residual:.3e} above lp_tol",
                 FeasibilityResult("indeterminate", residual),
             )
-        kept = x_face > 1e-14
-        support = face[kept]
+        kept = x_cols > 1e-14
+        support = cols[kept]
         log.debug(
-            "feasibility LP: %d rows, %d nonzeros, %d face columns, "
-            "certificate support %d", n_rows, a_eq.nnz, face.size, support.size,
+            "feasibility LP: %d rows, %d nonzeros, refit on %d %s columns, "
+            "certificate support %d", n_rows, a_eq.nnz, cols.size, refit, support.size,
         )
-        weights = x_face[kept]
+        weights = x_cols[kept]
         weights = weights / float(np.sum(weights))
         # the certificate model's atoms are the support's strategy pairs
         pairs = dict(zip((1, 2), np.divmod(support, n2)))

@@ -275,23 +275,45 @@ def random_involution_ctx(c: float) -> Context:
     return acceptance._involution_context(mats[:2], mats[2:], 2)
 
 
+@pytest.fixture
+def refit_cols(monkeypatch):
+    """The column count of every ``nnls`` refit, in call order."""
+    widths = []
+    real_nnls = feasibility.nnls
+
+    def recording_nnls(a, b):
+        widths.append(a.shape[1])
+        return real_nnls(a, b)
+
+    monkeypatch.setattr(feasibility, "nnls", recording_nnls)
+    return widths
+
+
 class TestCertificateRefit:
     @pytest.mark.parametrize("c", [0.1, 0.2, 0.25])
-    def test_werner_random_settings_depth_two(self, c, monkeypatch):
-        refit_cols = []
-        real_nnls = feasibility.nnls
-
-        def recording_nnls(a, b):
-            refit_cols.append(a.shape[1])
-            return real_nnls(a, b)
-
-        monkeypatch.setattr(feasibility, "nnls", recording_nnls)
+    def test_werner_random_settings_depth_two(self, c, refit_cols):
         res = lchv_feasibility(states.werner_gen(2, c), random_involution_ctx(c), 2)
         assert res.status == "feasible"
         assert res.max_residual <= LP_TOL
         assert res.report is not None and res.report.passed
-        # the refit sees the optimal face only, not all 64 x 64 pairs
-        assert len(refit_cols) == 1 and len(res.certificate) <= refit_cols[0] < 64 * 64
+        # one refit, on the HiGHS basis: at most one column per Collins–Gisin row
+        assert len(refit_cols) == 1 and len(res.certificate) <= refit_cols[0] <= 121
+
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.25])
+    def test_face_fallback_when_basis_refit_fails(self, c, refit_cols, monkeypatch):
+        real_linprog = feasibility.linprog
+
+        def dropped_largest(*args, **kwargs):
+            res = real_linprog(*args, **kwargs)
+            res.x[np.argmax(res.x[:64 * 64])] = 0.0  # the strategy columns come first
+            return res
+
+        monkeypatch.setattr(feasibility, "linprog", dropped_largest)
+        res = lchv_feasibility(states.werner_gen(2, c), random_involution_ctx(c), 2)
+        assert res.status == "feasible"
+        assert res.report is not None and res.report.passed
+        # the basis lost its heaviest column and misses; the face still holds it
+        assert len(refit_cols) == 2 and refit_cols[0] <= 121 < refit_cols[1]
 
     def test_debug_line_reports_sizes(self, caplog):
         with caplog.at_level("DEBUG", logger="nonloc.feasibility"):
@@ -301,12 +323,12 @@ class TestCertificateRefit:
         # 3 x 3 events: the normalization row holds 16 strategy ones, each of
         # the 4 one-sided rows 8 and the 4 two-sided rows 4; 18 slack ones
         found = re.fullmatch(
-            r"feasibility LP: 9 rows, 82 nonzeros, (\d+) face columns, "
+            r"feasibility LP: 9 rows, 82 nonzeros, refit on (\d+) basis columns, "
             r"certificate support (\d+)", lines[0]
         )
         assert found is not None
-        face, support = map(int, found.groups())
-        assert support == len(res.certificate) <= face <= 16
+        width, support = map(int, found.groups())
+        assert support == len(res.certificate) <= width <= 9
 
 
 class TestFullSystemVerdict:
