@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # bound at run time by _load_scipy
 log = logging.getLogger("nonloc.feasibility")
 
 LP_TOL = 1e-9
+MODEL_TOL = 1e-8  # verify_model tolerance of a feasible verdict's certificate
 STRATEGY_BUDGET = 10**6
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -226,9 +227,7 @@ def lchv_feasibility(
     rho: DensityMatrix,
     ctx: Context,
     k: int,
-    lp_tol: float = LP_TOL,
     strategy_budget: int = STRATEGY_BUDGET,
-    model_tol: float = 1e-8,
 ) -> FeasibilityResult:
     """Decide local-causal realizability of all length-<=k sequences.
 
@@ -240,13 +239,13 @@ def lchv_feasibility(
     two-outcome families per side.  One ``hvmodels.QuantumTables`` serves
     the targets and the certificate's verification.
 
-    An optimum at most ``lp_tol`` counts as feasible: the certificate is
+    An optimum at most ``LP_TOL`` counts as feasible: the certificate is
     re-fit by nonnegative least squares on the HiGHS basis (the strategy
-    pairs with positive weight), or, when that residual exceeds ``lp_tol``,
+    pairs with positive weight), or, when that residual exceeds ``LP_TOL``,
     on the LP's optimal face (those pairs and the ones with reduced cost at
-    most ``lp_tol``), and the resulting model verified against every full
+    most ``LP_TOL``), and the resulting model verified against every full
     collected table, which also checks the row reduction.  An optimum of at
-    least ``100 * lp_tol`` counts as infeasible, with the phase-1 dual
+    least ``100 * LP_TOL`` counts as infeasible, with the phase-1 dual
     reported as a separating functional over the row labels of
     ``_row_labels`` (``"normalization"`` and ``side:family=outcome/...``),
     whose separation must clear the same margin.  Anything between raises
@@ -281,16 +280,16 @@ def lchv_feasibility(
     opt = float(res.fun)
     log.info("phase-1 optimum %.3e", opt)
 
-    if opt <= lp_tol:
+    if opt <= LP_TOL:
         on_vertex = res.x[:n_cols] > 0
         basis = np.flatnonzero(on_vertex)
-        face = np.flatnonzero(on_vertex | (res.lower.marginals[:n_cols] <= lp_tol))
-        # the vertex is feasible only to HiGHS's primal tolerance, not lp_tol
+        face = np.flatnonzero(on_vertex | (res.lower.marginals[:n_cols] <= LP_TOL))
+        # the vertex is feasible only to HiGHS's primal tolerance, not LP_TOL
         for refit, cols in (("basis", basis), ("face", face)):
             a_cols = a_eq[:, cols].toarray()
             x_cols, _ = nnls(a_cols, b_vec)
             residual = float(np.max(np.abs(a_cols @ x_cols - b_vec)))
-            if residual <= lp_tol:
+            if residual <= LP_TOL:
                 break
         else:
             raise LpNumericalFailure(
@@ -314,7 +313,7 @@ def lchv_feasibility(
         atoms = tuple(f"s{rank}" for rank in range(support.size))
         space = FiniteSampleSpace(atoms, np.asarray(weights))
         model = DeterministicModel(space, "local_causal", lp_ctx, index)
-        report = hvmodels.verify_model(model, rho, tol=model_tol, quantum=quantum)
+        report = hvmodels.verify_model(model, rho, tol=MODEL_TOL, quantum=quantum)
         if not report.passed:
             raise LpNumericalFailure(
                 f"certificate model failed verification: {report.summary()}",
@@ -322,17 +321,17 @@ def lchv_feasibility(
             )
         return FeasibilityResult("feasible", residual, model=model, report=report)
 
-    if opt >= 100.0 * lp_tol:
+    if opt >= 100.0 * LP_TOL:
         y = np.asarray(res.eqlin.marginals, dtype=float)
         if float(y @ b_vec) < 0:
             y = -y
         value_on_targets = float(y @ b_vec)
         max_on_strategies = float(np.max((a_eq.T @ y)[:n_cols]))
         separation = value_on_targets - max_on_strategies
-        if separation < 100.0 * lp_tol:
+        if separation < 100.0 * LP_TOL:
             raise LpNumericalFailure(
                 f"witness separation {separation:.3e} below the margin "
-                f"{100 * lp_tol:.0e}",
+                f"{100 * LP_TOL:.0e}",
                 FeasibilityResult("indeterminate", opt),
             )
         witness = {
@@ -348,7 +347,7 @@ def lchv_feasibility(
 
     raise LpNumericalFailure(
         f"phase-1 optimum {opt:.3e} in the indeterminate band "
-        f"({lp_tol:.0e}, {100 * lp_tol:.0e})",
+        f"({LP_TOL:.0e}, {100 * LP_TOL:.0e})",
         FeasibilityResult("indeterminate", opt),
     )
 
@@ -572,7 +571,7 @@ def _standard_qubit_context(max_len: int) -> Context:
     return Context(fams1, fams2, max_len, max_len)
 
 
-def classify_evidence(rho: DensityMatrix, lp_tol: float = LP_TOL) -> ClassificationRecord:
+def classify_evidence(rho: DensityMatrix) -> ClassificationRecord:
     """Assemble entanglement and nonlocality-index evidence for a state.
 
     The decision ladder: a separable state gets an all-sequences local model
@@ -644,7 +643,7 @@ def classify_evidence(rho: DensityMatrix, lp_tol: float = LP_TOL) -> Classificat
             )
             witness: dict = {"chsh": value}
             try:
-                res = lchv_feasibility(rho, ctx, 1, lp_tol=lp_tol)
+                res = lchv_feasibility(rho, ctx, 1)
                 witness["feasibility"] = result_to_json(res)
             except LpNumericalFailure as exc:
                 witness["feasibility"] = {"status": "indeterminate",
@@ -661,7 +660,7 @@ def classify_evidence(rho: DensityMatrix, lp_tol: float = LP_TOL) -> Classificat
             if c <= float(states.lhv1_threshold(2)) + 1e-12:
                 ctx1 = _standard_qubit_context(1)
                 try:
-                    res = lchv_feasibility(rho, ctx1, 1, lp_tol=lp_tol)
+                    res = lchv_feasibility(rho, ctx1, 1)
                 except LpNumericalFailure as exc:
                     notes.append(f"single-time LP indeterminate: {exc}")
                     return ClassificationRecord(

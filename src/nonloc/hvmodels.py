@@ -8,9 +8,9 @@ Responses never read later choices (causality is structural: the
 constructor checks that each index extends its prefix's), and in the
 ``local_causal`` shape each side's responses read only that side's choices
 (locality is structural too).  ``DeterministicModel.from_responses`` is the
-one decoder of response trees (model JSON, realized trees, hand-written
-models); ``responses`` decodes the index back into trees.  Stochastic models
-replace responses with per-side outcome kernels composed by the chain rule.
+one decoder of response trees (model JSON, hand-written models);
+``responses`` decodes the index back into trees.  Stochastic models replace
+responses with per-side outcome kernels composed by the chain rule.
 
 Constructions provided here:
 
@@ -36,7 +36,8 @@ effects along a prefix trie of its choice sequences and gets every table
 from one contraction with the state.  On the model side each table is a
 weighted count of the stored indices (deterministic models) or a matrix
 product of chain-rule probability matrices from one pass over (atom, choice
-sequence) (stochastic models).  The public ``distribution_*`` methods are
+sequence) (stochastic models); ``stochastic_to_deterministic`` enumerates its
+realized trees on the same pass.  The public ``distribution_*`` methods are
 thin wrappers over the same arrays.
 """
 
@@ -336,7 +337,7 @@ class StochasticModel:
         """
         probs, reached, step_labels = [], [], []
         for side, key in ((1, choices1), (2, choices2)):
-            p, r, bad = self._side_arrays(side, _prefixes(key))
+            p, _, r, bad = self._side_arrays(side, _prefixes(key))
             if bad is not None:
                 raise ValueError(f"missing kernel or unlisted outcome at {_key_name(side, bad)}")
             probs.append(p[key])
@@ -472,36 +473,39 @@ def _chain_probabilities(kernels: list[dict], keys, labels: dict):
 
     ``kernels`` holds one side's kernel dict per atom; ``keys`` are choice
     sequences, each after its prefixes.  Only strings whose past has nonzero
-    probability are extended.  Returns (probabilities, reached, first key
-    with a missing kernel or an unknown label, or None); ``reached`` marks the
-    strings a kernel was consulted for.
+    probability are extended.  Returns (probabilities, steps, reached, first
+    key with a missing kernel or an unknown label, or None), the first three
+    dicts of (atoms x outcome strings) arrays by key: ``steps[c]`` is the
+    probability c's last kernel gives each string's last outcome, so that
+    ``probs[c]`` is ``probs[c[:-1]]`` repeated per last outcome times
+    ``steps[c]``; ``reached`` marks the strings a kernel was consulted for.
     """
     n_atoms = len(kernels)
     probs = {(): np.ones((n_atoms, 1))}
     reached = {(): np.ones((n_atoms, 1), dtype=bool)}
+    steps: dict[tuple, np.ndarray] = {}
     strings: dict[tuple, list] = {(): [()]}
     for key in keys:
         lab = labels[key[-1]]
         position = {o: j for j, o in enumerate(lab)}
         parent = probs[key[:-1]]
         pasts = strings[key[:-1]]
-        p_new = np.zeros((n_atoms, parent.shape[1] * len(lab)))
-        r_new = np.zeros(p_new.shape, dtype=bool)
         rows, cols, values = [], [], []
-        nonzero = np.nonzero(parent)
-        for a, i, p in zip(*(x.tolist() for x in nonzero), parent[nonzero].tolist()):
+        for a, i in zip(*(x.tolist() for x in np.nonzero(parent))):
             dist = kernels[a].get((key, pasts[i]))
             if dist is None or not dist.keys() <= position.keys():
-                return probs, reached, key
+                return probs, steps, reached, key
             for o, q in dist.items():
                 rows.append(a)
                 cols.append(i * len(lab) + position[o])
-                values.append(p * q)
-        p_new[rows, cols] = values
-        r_new[rows, cols] = True
-        probs[key], reached[key] = p_new, r_new
+                values.append(q)
+        steps[key] = np.zeros((n_atoms, parent.shape[1] * len(lab)))
+        steps[key][rows, cols] = values
+        reached[key] = np.zeros(steps[key].shape, dtype=bool)
+        reached[key][rows, cols] = True
+        probs[key] = np.repeat(parent, len(lab), axis=1) * steps[key]
         strings[key] = [past + (o,) for past in pasts for o in lab]
-    return probs, reached, None
+    return probs, steps, reached, None
 
 
 def _dedupe_points(points: set[float], tol: float = 1e-12) -> list[float]:
@@ -854,46 +858,6 @@ def deterministic_to_stochastic(m: DeterministicModel) -> StochasticModel:
     return StochasticModel(m.space, m.context, kernels)
 
 
-def _realized_trees(
-    seqs, kernels: dict, budget: int, side: int
-) -> list[tuple[dict, float]]:
-    """Every realized response tree of one atom's side ``side``, with its
-    weight, for ``stochastic_to_deterministic`` (the LP's strategies are
-    mixed-radix digits instead, ``feasibility._strategy_index``).
-
-    ``seqs`` are the side's non-empty choice sequences, each after its
-    prefixes; ``kernels`` maps each reachable node (choices, past) to its
-    outcome distribution {outcome: p}.  A tree assigns outcomes only along
-    its own realized pasts, so mutually exclusive branches are never
-    instantiated together, and its weight is the product of the kernel
-    probabilities it consumed; outcomes of probability zero start no tree.
-    Trees come in lexicographic order of their responses to ``seqs``, each
-    response in its distribution's order.  Raises ``ValueError`` naming the
-    first reachable node's choices that have no kernel, and
-    ``BudgetExceededError`` when there are more than ``budget`` trees.
-    """
-    partial: list[tuple[dict, float]] = [({}, 1.0)]
-    for choices in seqs:
-        new = []
-        for tree, weight in partial:
-            past = tree[choices[:-1]] if len(choices) > 1 else ()
-            dist = kernels.get((choices, past))
-            if dist is None:
-                raise ValueError(f"missing kernel at {_key_name(side, choices)}")
-            for out, p in dist.items():
-                if p <= 0.0:
-                    continue
-                t = dict(tree)
-                t[choices] = past + (out,)
-                new.append((t, weight * p))
-        partial = new
-        if len(partial) > budget:
-            raise BudgetExceededError(
-                f"realized response trees exceed budget {budget}"
-            )
-    return partial
-
-
 def stochastic_to_deterministic(
     s: StochasticModel, atom_budget: int = ATOM_BUDGET
 ) -> DeterministicModel:
@@ -905,31 +869,60 @@ def stochastic_to_deterministic(
     variables: a pair of realized response trees.  Degenerate kernels
     contribute a single tree, so a degenerate stochastic model round-trips to
     its deterministic original.
+
+    Trees are enumerated on the chain-rule walk (``_chain_probabilities``)
+    of the atoms with nonzero weight, one row per partial tree: its atom,
+    weight and outcome indices so far.  Each choice sequence splits a row
+    into the outcomes its kernel gives positive probability, so trees come
+    atom first, then by earlier responses, then by outcome in label order
+    (the dict order of every kernel producer here).  An atom's side-1 and
+    side-2 trees pair in row-major order as ``atom|t{i1}|t{i2}``.  Raises
+    ``ValueError`` naming the first sequence with a missing kernel or an
+    unlisted outcome, and ``BudgetExceededError`` when one side's trees over
+    all atoms, or the pairs, exceed ``atom_budget``.
     """
     ctx = s.context
-    seqs = {side: ctx.choice_sequences(side)[1:] for side in (1, 2)}
-    atoms = []
-    weights = []
-    responses = {}
-    for atom, w in zip(s.space.atoms, s.space.weights):
-        if float(w) == 0.0:
-            continue
-        trees1, trees2 = (
-            _realized_trees(seqs[side], s.kernels[atom].get(side, {}), atom_budget, side)
-            for side in (1, 2)
-        )
-        if len(atoms) + len(trees1) * len(trees2) > atom_budget:
-            raise BudgetExceededError(
-                f"product space exceeds atom budget {atom_budget}"
-            )
-        for i1, (t1, p1) in enumerate(trees1):
-            for i2, (t2, p2) in enumerate(trees2):
-                tagged = f"{atom}|t{i1}|t{i2}"
-                atoms.append(tagged)
-                weights.append(float(w) * p1 * p2)
-                responses[tagged] = {1: t1, 2: t2}
-    space = FiniteSampleSpace(tuple(atoms), np.array(weights))
-    return DeterministicModel.from_responses(space, "local_causal", ctx, responses)
+    live = s.space.weights != 0.0
+    atoms = [a for a, keep in zip(s.space.atoms, live.tolist()) if keep]
+    trees = []
+    for side in (1, 2):
+        keys = ctx.choice_sequences(side)[1:]
+        kernels = [s.kernels.get(a, {}).get(side, {}) for a in atoms]
+        _, steps, _, bad = _chain_probabilities(kernels, keys, ctx.labels(side))
+        if bad is not None:
+            raise ValueError(f"missing kernel or unlisted outcome at {_key_name(side, bad)}")
+        owner, weight = np.arange(len(atoms)), np.ones(len(atoms))
+        index = {(): np.zeros(len(atoms), dtype=np.intp)}
+        for key in keys:
+            n_out = len(ctx.labels(side)[key[-1]])
+            step = steps[key].reshape(len(atoms), -1, n_out)[owner, index[key[:-1]]]
+            rows, digit = np.nonzero(step > 0.0)
+            if rows.size > atom_budget:
+                raise BudgetExceededError(
+                    f"realized response trees exceed budget {atom_budget}"
+                )
+            owner, weight = owner[rows], weight[rows] * step[rows, digit]
+            index = {c: idx[rows] for c, idx in index.items()}
+            index[key] = index[key[:-1]] * n_out + digit
+        del index[()]
+        trees.append((owner, weight, index))
+    (owner1, weight1, index1), (owner2, weight2, index2) = trees
+    # rows stay grouped by atom, so an atom's trees are consecutive rows
+    counts = zip(*(np.bincount(o, minlength=len(atoms)).tolist() for o in (owner1, owner2)))
+    names, pairs, first1, first2 = [], [], 0, 0
+    for atom, (n1, n2) in zip(atoms, counts):
+        if len(names) + n1 * n2 > atom_budget:
+            raise BudgetExceededError(f"product space exceeds atom budget {atom_budget}")
+        for i1, i2 in itertools.product(range(n1), range(n2)):
+            names.append(f"{atom}|t{i1}|t{i2}")
+            pairs.append((first1 + i1, first2 + i2))
+        first1, first2 = first1 + n1, first2 + n2
+    r1, r2 = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    weights = s.space.weights[live][owner1[r1]] * weight1[r1] * weight2[r2]
+    index = {1: {c: idx[r1] for c, idx in index1.items()},
+             2: {c: idx[r2] for c, idx in index2.items()}}
+    space = FiniteSampleSpace(tuple(names), weights)
+    return DeterministicModel(space, "local_causal", ctx, index)
 
 
 def extend_commuting_povm(
@@ -1105,7 +1098,7 @@ def verify_model(
             return quantum.collected(*_split(path)).ravel()
     bad = None
     if isinstance(m, StochasticModel):
-        (probs1, _, bad1), (probs2, _, bad2) = (
+        (probs1, *_, bad1), (probs2, *_, bad2) = (
             m._side_arrays(side, ctx.choice_sequences(side)[1:]) for side in (1, 2)
         )
         bad = next(((s, key) for s, key in ((1, bad1), (2, bad2)) if key is not None), None)
@@ -1143,12 +1136,13 @@ def verify_model(
         "per_side_responses": m.shape in ("local_causal", "stochastic"),
     }
     if isinstance(m, StochasticModel):
-        kdev = 0.0
-        for atom in m.space.atoms:
-            for side in (1, 2):
-                for dist in m.kernels.get(atom, {}).get(side, {}).values():
-                    kdev = max(kdev, abs(sum(dist.values()) - 1.0))
-        structural["kernel_normalization_deviation"] = kdev
+        sums = np.array([
+            sum(dist.values()) for atom in m.space.atoms for side in (1, 2)
+            for dist in m.kernels.get(atom, {}).get(side, {}).values()
+        ])
+        structural["kernel_normalization_deviation"] = float(
+            np.max(np.abs(sums - 1.0), initial=0.0)
+        )
     passed = worst <= tol and structural["weight_sum_deviation"] <= 1e-9
     return VerificationReport(passed, worst, worst_seq, count, tol, structural)
 

@@ -364,12 +364,52 @@ class TestFineTranslations:
             "b": {},
         }
         space = FiniteSampleSpace(("a", "b"), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match=r"^missing kernel at 1:mz/1:mz$"):
+        message = r"^missing kernel or unlisted outcome at 1:mz/1:mz$"
+        with pytest.raises(ValueError, match=message):
             stochastic_to_deterministic(StochasticModel(space, ctx, kernels))
         for past in ("+1", "-1"):
             kernels["a"][1][(("mz", "mz"), (past,))] = {past: 1.0}
         det = stochastic_to_deterministic(StochasticModel(space, ctx, kernels))
         assert det.space.atoms == ("a|t0|t0", "a|t1|t0")
+
+    def test_live_atom_without_kernels_is_named(self):
+        # atom "b" has positive weight but no entry in ``kernels``; every
+        # reader of the kernels names the same sequence
+        ctx = Context((MZ,), (MZ,), 1, 1)
+        kernels = {"a": {1: {(("mz",), ()): {"+1": 1.0}},
+                         2: {(("mz",), ()): {"-1": 1.0}}}}
+        space = FiniteSampleSpace(("a", "b"), np.array([0.5, 0.5]))
+        s = StochasticModel(space, ctx, kernels)
+        message = r"^missing kernel or unlisted outcome at 1:mz$"
+        with pytest.raises(ValueError, match=message):
+            stochastic_to_deterministic(s)
+        with pytest.raises(ValueError, match=message):
+            s.distribution_collected(("mz",), ("mz",))
+        rep = verify_model(s, states.singlet())
+        assert not rep.passed and rep.worst_sequence == "1:mz"
+
+    @pytest.mark.parametrize("labels", [("+1", "-1"), ("u", "v", "+1")])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_round_trip_matches_reference_trees(self, labels, seed):
+        s = random_stochastic(np.random.default_rng(seed), labels)
+        det = stochastic_to_deterministic(s)
+        want = reference_realized_trees(s)
+        assert det.space.atoms == tuple(want)
+        assert not any(a.startswith("b|") for a in det.space.atoms)  # weight 0
+        assert np.array_equal(det.space.weights, [w for w, _ in want.values()])
+        assert det.responses == {a: trees for a, (_, trees) in want.items()}
+
+    def test_degenerate_round_trip_keeps_index(self):
+        rho = states.werner_gen(2, 0.2)
+        certificate = lchv_feasibility(rho, qubit_pair_ctx(1), 1).model
+        coupled = couple_lchv_d2(certificate, Context((MZ, MX), (MZ, MX), 3, 2))
+        back = stochastic_to_deterministic(deterministic_to_stochastic(coupled))
+        assert back.space.atoms == tuple(f"{a}|t0|t0" for a in coupled.space.atoms)
+        assert np.array_equal(back.space.weights, coupled.space.weights)
+        for side in (1, 2):
+            assert back.index[side].keys() == coupled.index[side].keys()
+            for key, idx in coupled.index[side].items():
+                assert np.array_equal(back.index[side][key], idx)
 
     def test_instantiation_budget(self):
         m = product_local_model(
@@ -617,6 +657,33 @@ def reference_side_distribution(s: StochasticModel, atom, side, choices) -> dict
                 new[past + (o,)] = new.get(past + (o,), 0.0) + p * q
         table = new
     return table
+
+
+def reference_realized_trees(s: StochasticModel) -> dict:
+    """``{atom|t{i1}|t{i2}: (weight, {1: tree1, 2: tree2})}`` by walking each
+    nonzero-weight atom's trees one branch at a time: every tree is extended
+    at each choice sequence by the outcomes of positive probability at its
+    own past, in the kernel's order."""
+    out = {}
+    for atom, w in zip(s.space.atoms, s.space.weights):
+        if float(w) == 0.0:
+            continue
+        per_side = []
+        for side in (1, 2):
+            partial = [({}, 1.0)]
+            for choices in s.context.choice_sequences(side)[1:]:
+                new = []
+                for tree, weight in partial:
+                    past = tree[choices[:-1]] if len(choices) > 1 else ()
+                    for o, p in s.kernel(atom, side, choices, past).items():
+                        if p > 0.0:
+                            new.append(({**tree, choices: past + (o,)}, weight * p))
+                partial = new
+            per_side.append(partial)
+        for i1, (t1, p1) in enumerate(per_side[0]):
+            for i2, (t2, p2) in enumerate(per_side[1]):
+                out[f"{atom}|t{i1}|t{i2}"] = (float(w) * p1 * p2, {1: t1, 2: t2})
+    return out
 
 
 def reference_collected(s: StochasticModel, c1, c2) -> dict:
